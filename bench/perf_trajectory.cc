@@ -15,6 +15,7 @@
  *                     best wall time wins (default 3)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -119,6 +120,15 @@ replayAnd3(std::uint32_t workers, std::uint64_t rows, std::uint64_t seed)
     return r;
 }
 
+/** Median of @p v (upper median for even sizes); @p v is reordered. */
+double
+median(std::vector<double> &v)
+{
+    auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid;
+}
+
 struct Cell
 {
     std::uint32_t workers = 1;
@@ -207,49 +217,67 @@ main(int argc, char **argv)
     }
 
     // ---- Observability overhead ---------------------------------------
-    // The Table-1 shape again at 1 worker, best of `reps` each way:
-    // (a) obs layer left disabled — every hook is one dormant branch,
-    //     the state every other cell in this file runs in — and
-    // (b) trace + metrics fully enabled, captured in memory.
-    // The disabled run must stay within 2% of the main table1_and3
-    // 1-worker cell (same code path, so this certifies the dormant
-    // hooks cost nothing measurable); the enabled delta is recorded
-    // for the trajectory but not gated.
-    Replay best_off, best_on;
-    for (int rep = 0; rep < reps; ++rep) {
-        Replay off = replayAnd3(1, 2, 101);
-        if (best_off.resultPages == 0 ||
-            off.wallSeconds < best_off.wallSeconds)
-            best_off = off;
-        obs::ScopedCapture cap(/*trace=*/true, /*metrics=*/true);
-        Replay on = replayAnd3(1, 2, 101);
-        if (best_on.resultPages == 0 ||
-            on.wallSeconds < best_on.wallSeconds)
-            best_on = on;
+    // The Table-1 shape again at 1 worker, in kObsPairs rounds of
+    // (a) a baseline replay, as the main table1_and3 1-worker cell
+    //     runs it, paired with
+    // (b) a replay with the obs layer disabled — every hook one dormant
+    //     branch, also after the previous round's enabled session was
+    //     torn down — in alternating order, so a slow host phase or a
+    //     warm-second-run effect lands on both sides of a pair; then
+    // (c) trace + metrics fully enabled, captured in memory.
+    // (a) and (b) run the same code path, so the gate certifies that
+    // dormant hooks cost nothing measurable: the median over rounds of
+    // the paired slowdown (b)/(a) - 1 must stay within 2%. A median of
+    // pairs moves with no single noisy replay, where the comparison of
+    // two best-of times it replaces flipped on host noise. The enabled
+    // slowdown (c)/(b) - 1 is recorded, not gated.
+    constexpr int kObsPairs = 61;
+    std::vector<double> off_ratio, on_ratio, off_wall, on_wall;
+    std::uint64_t obs_digest = 0, obs_pages = 0;
+    for (int round = 0; round < kObsPairs; ++round) {
+        Replay base, off;
+        if (round % 2 == 0) {
+            base = replayAnd3(1, 2, 101);
+            off = replayAnd3(1, 2, 101);
+        } else {
+            off = replayAnd3(1, 2, 101);
+            base = replayAnd3(1, 2, 101);
+        }
+        Replay on;
+        {
+            obs::ScopedCapture cap(/*trace=*/true, /*metrics=*/true);
+            on = replayAnd3(1, 2, 101);
+        }
+        for (const Replay *r : {&base, &off, &on}) {
+            if (obs_digest == 0)
+                obs_digest = r->digest;
+            if (r->digest != obs_digest) {
+                std::fprintf(stderr, "FATAL: enabling observability "
+                                     "changed the stream digest\n");
+                return 1;
+            }
+        }
+        off_ratio.push_back(off.wallSeconds / base.wallSeconds);
+        on_ratio.push_back(on.wallSeconds / off.wallSeconds);
+        off_wall.push_back(off.wallSeconds);
+        on_wall.push_back(on.wallSeconds);
+        obs_pages = base.pagesSimulated;
     }
-    if (best_on.digest != best_off.digest) {
-        std::fprintf(stderr, "FATAL: enabling observability changed the "
-                             "stream digest\n");
-        return 1;
-    }
-    auto pps_of = [](const Replay &r) {
-        return static_cast<double>(r.pagesSimulated) / r.wallSeconds;
-    };
-    const double base_pps =
-        pps_of(results.front().cells.front().best); // table1_and3 @1w
-    const double off_pps = pps_of(best_off);
-    const double on_pps = pps_of(best_on);
-    const double off_overhead_pct = (1.0 - off_pps / base_pps) * 100.0;
-    const double on_overhead_pct = (1.0 - on_pps / off_pps) * 100.0;
+    const double off_overhead_pct = (median(off_ratio) - 1.0) * 100.0;
+    const double on_overhead_pct = (median(on_ratio) - 1.0) * 100.0;
+    const double off_pps =
+        static_cast<double>(obs_pages) / median(off_wall);
+    const double on_pps = static_cast<double>(obs_pages) / median(on_wall);
     std::printf("\n  observability: disabled %s (%+.2f%% vs baseline), "
-                "enabled %s (%+.2f%% vs disabled)\n",
+                "enabled %s (%+.2f%% vs disabled), median of %d pairs\n",
                 bench::rateStr(off_pps, "pages").c_str(),
                 off_overhead_pct,
-                bench::rateStr(on_pps, "pages").c_str(), on_overhead_pct);
+                bench::rateStr(on_pps, "pages").c_str(), on_overhead_pct,
+                kObsPairs);
     if (off_overhead_pct > 2.0) {
         std::fprintf(stderr,
                      "FATAL: disabled-observability overhead %.2f%% "
-                     "exceeds the 2%% gate\n",
+                     "(median paired) exceeds the 2%% gate\n",
                      off_overhead_pct);
         return 1;
     }
@@ -413,11 +441,14 @@ main(int argc, char **argv)
     std::fprintf(f,
                  "  \"observability\": {\n"
                  "    \"workload\": \"table1_and3\", \"workers\": 1,\n"
+                 "    \"pairs\": %d, \"statistic\": \"median paired "
+                 "ratio\",\n"
                  "    \"disabled_pages_per_second\": %.1f,\n"
                  "    \"enabled_pages_per_second\": %.1f,\n"
                  "    \"disabled_overhead_pct\": %.3f,\n"
                  "    \"enabled_overhead_pct\": %.3f\n  },\n",
-                 off_pps, on_pps, off_overhead_pct, on_overhead_pct);
+                 kObsPairs, off_pps, on_pps, off_overhead_pct,
+                 on_overhead_pct);
     {
         const core::TrafficPoint &p = mixed.front().best;
         static const char *const kClassNames[] = {"read", "write",

@@ -4,7 +4,6 @@
 
 #include "engine/engine.h"
 #include "util/log.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace fcos::engine {
@@ -24,11 +23,10 @@ BitVector
 operandData(std::uint64_t page_bits, std::uint32_t col, std::uint32_t row,
             std::uint32_t op)
 {
-    Rng rng = Rng::seeded(0x5CA1E000ULL + (static_cast<std::uint64_t>(col)
-                                           << 20) +
-                          (static_cast<std::uint64_t>(row) << 8) + op);
     BitVector v(page_bits);
-    v.randomize(rng);
+    v.randomizeSeeded(0x5CA1E000ULL +
+                      (static_cast<std::uint64_t>(col) << 20) +
+                      (static_cast<std::uint64_t>(row) << 8) + op);
     return v;
 }
 

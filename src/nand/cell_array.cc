@@ -125,10 +125,17 @@ CellArray::effectiveData(const WordlineAddr &addr, ErrorInjector *injector,
     const StoredPage *sp = store_->find(key);
     if (!sp)
         return BitVector(geom_.pageBits(), true); // erased: all '1'
-    BitVector bits = sp->image.materialize(geom_.pageBits());
+    return sensePage(key, *sp, injector, read_seq);
+}
+
+BitVector
+CellArray::sensePage(std::uint64_t key, const StoredPage &page,
+                     ErrorInjector *injector, std::uint64_t read_seq) const
+{
+    BitVector bits = page.image.materialize(geom_.pageBits());
     if (injector) {
         std::uint64_t seed = key * 0x2545F491ULL + read_seq;
-        injector->inject(bits, sp->meta, seed);
+        injector->inject(bits, page.meta, seed);
     }
     return bits;
 }
@@ -140,7 +147,8 @@ CellArray::senseConduction(std::uint32_t plane,
                            std::uint64_t read_seq) const
 {
     fcos_assert(!selections.empty(), "MWS with empty selection");
-    BitVector result(geom_.pageBits(), false);
+    fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
+    BitVector result;
     for (const auto &sel : selections) {
         fcos_assert(sel.block < geom_.blocksPerPlane &&
                         sel.subBlock < geom_.subBlocksPerBlock,
@@ -153,18 +161,32 @@ CellArray::senseConduction(std::uint32_t plane,
             "wordline mask beyond string length");
         // AND across target wordlines of the same string. Erased
         // wordlines sense as all-'1' — the AND identity — so only
-        // programmed pages are materialized.
-        BitVector string_conduction(geom_.pageBits(), true);
+        // programmed pages are materialized, and the first of them
+        // seeds the accumulator.
+        BitVector string_conduction;
         for (std::uint32_t wl = 0; wl < geom_.wordlinesPerSubBlock; ++wl) {
             if (!(sel.wlMask & (1ULL << wl)))
                 continue;
-            WordlineAddr a{plane, sel.block, sel.subBlock, wl};
-            if (!isProgrammed(a))
+            const std::uint64_t key = planeKey(
+                plane, wordlineIndex(geom_, {plane, sel.block,
+                                             sel.subBlock, wl}));
+            const StoredPage *sp = store_->find(key);
+            if (!sp)
                 continue;
-            string_conduction &= effectiveData(a, injector, read_seq);
+            BitVector bits = sensePage(key, *sp, injector, read_seq);
+            if (string_conduction.empty())
+                string_conduction = std::move(bits);
+            else
+                string_conduction &= bits;
         }
-        // OR across distinct strings sharing the bitlines.
-        result |= string_conduction;
+        if (string_conduction.empty()) // every target wordline erased
+            string_conduction = BitVector(geom_.pageBits(), true);
+        // OR across distinct strings sharing the bitlines; the first
+        // string is the result as is.
+        if (result.empty())
+            result = std::move(string_conduction);
+        else
+            result |= string_conduction;
     }
     return result;
 }

@@ -86,16 +86,19 @@ NandChip::senseCommon(std::uint32_t plane,
     fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
     LatchArray &l = latches_[plane];
 
-    // Precharge step: latch initialization per the ISCM flags.
-    if (flags.initSenseLatch)
-        l.initSense();
-    if (flags.initCacheLatch)
+    // Precharge step: latch initialization per the ISCM flags. The
+    // S-latch precharge is folded into the evaluation that overwrites
+    // it, and a copy dump initializes the C-latch itself (dumpCopy).
+    if (flags.initCacheLatch && !flags.dumpToCache)
         l.initCache();
 
     // Evaluation step: simultaneous sensing of all selected wordlines.
     BitVector conduction = cells_.senseConduction(
         plane, selections, injector_, nextSenseSeq(plane));
-    l.evaluate(conduction, flags.inverseRead, flags.initSenseLatch);
+    if (flags.initSenseLatch)
+        l.evaluateFresh(std::move(conduction), flags.inverseRead);
+    else
+        l.evaluate(conduction, flags.inverseRead, false);
 
     if (flags.dumpToCache) {
         // MWS dump: plain copy when the C-latch was initialized,
@@ -161,12 +164,13 @@ NandChip::senseParaBit(const WordlineAddr &addr, bool init_sense,
 {
     checkAddr(geom_, addr);
     LatchArray &l = latches_[addr.plane];
-    if (init_sense)
-        l.initSense();
     WlSelection sel{addr.block, addr.subBlock, 1ULL << addr.wordline};
     BitVector conduction = cells_.senseConduction(
         addr.plane, {sel}, injector_, nextSenseSeq(addr.plane));
-    l.evaluate(conduction, false, init_sense);
+    if (init_sense)
+        l.evaluateFresh(std::move(conduction), false);
+    else
+        l.evaluate(conduction, false, false);
     if (dump_or)
         l.dumpOrMerge();
     Time t = timing_.timings().tReadSlc;

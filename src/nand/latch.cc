@@ -1,5 +1,7 @@
 #include "nand/latch.h"
 
+#include <utility>
+
 #include "util/log.h"
 
 namespace fcos::nand {
@@ -43,6 +45,18 @@ LatchArray::evaluate(const BitVector &conduction, bool inverse,
         // ParaBit AND accumulation: evaluation can only discharge OUT_S.
         sense_ &= conduction;
     }
+    sense_initialized_ = false;
+}
+
+void
+LatchArray::evaluateFresh(BitVector conduction, bool inverse)
+{
+    fcos_assert(conduction.size() == sense_.size(),
+                "conduction width %zu != %zu bitlines", conduction.size(),
+                sense_.size());
+    if (inverse)
+        conduction.invert();
+    sense_ = std::move(conduction);
     sense_initialized_ = false;
 }
 

@@ -71,6 +71,14 @@ class LatchArray
     void evaluate(const BitVector &conduction, bool inverse,
                   bool initialized);
 
+    /**
+     * initSense() then evaluate(conduction, inverse, true) in one step:
+     * the evaluation overwrites every S-latch bit, so the precharged
+     * value is never materialized and @p conduction becomes the latch
+     * contents without a copy.
+     */
+    void evaluateFresh(BitVector conduction, bool inverse);
+
     /** ParaBit OR transfer (Fig. 6(c)): C := C OR S. */
     void dumpOrMerge();
 

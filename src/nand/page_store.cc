@@ -80,12 +80,15 @@ PageImage::materialize(std::size_t bits) const
       case Kind::Fill:
         out = BitVector(bits, flag_);
         break;
-      case Kind::Random: {
-        Rng rng = Rng::seeded(seed_);
+      case Kind::Random:
         out = BitVector(bits);
-        out.randomize(rng, p_one_);
+        if (p_one_ == 0.5) {
+            out.randomizeSeeded(seed_);
+        } else {
+            Rng rng = Rng::seeded(seed_);
+            out.randomize(rng, p_one_);
+        }
         break;
-      }
       case Kind::Checkered:
         out = BitVector(bits);
         out.fillCheckered(flag_);

@@ -243,6 +243,13 @@ BitVector::randomize(Rng &rng, double p_one)
 }
 
 void
+BitVector::randomizeSeeded(std::uint64_t seed)
+{
+    Rng::fillSeeded(seed, words_.data(), words_.size());
+    clearTail();
+}
+
+void
 BitVector::fillCheckered(bool first)
 {
     // 0101.. pattern: even bits take `first`.

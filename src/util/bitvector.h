@@ -106,6 +106,13 @@ class BitVector
     void randomize(Rng &rng, double p_one = 0.5);
 
     /**
+     * Fill with uniform bits from a single-use generator: identical to
+     * `Rng r = Rng::seeded(seed); randomize(r);` but through the bulk
+     * Rng::fillSeeded path.
+     */
+    void randomizeSeeded(std::uint64_t seed);
+
+    /**
      * Program the "checkered" worst-case pattern from Section 5.1: any
      * two adjacent cells alternate between the highest and lowest V_TH
      * state, i.e. bits alternate 1,0,1,0,... starting with @p first.

@@ -10,6 +10,7 @@
 #ifndef FCOS_UTIL_RNG_H
 #define FCOS_UTIL_RNG_H
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -103,6 +104,18 @@ class Rng
     {
         return Rng(mix(seed_mix_, stream_id));
     }
+
+    /**
+     * Write the first @p n words of `std::mt19937_64(seed)` to @p out:
+     * exactly what @p n calls of `seeded(seed).nextU64()` return.
+     *
+     * The single-use bulk path for seeded pages. It twists branch-free
+     * and tempers straight into @p out, and for n <= 156 it seeds and
+     * twists only the state words those outputs read, so a 4-word page
+     * costs a few hundred cycles, not a full 312-word refill.
+     */
+    static void fillSeeded(std::uint64_t seed, std::uint64_t *out,
+                           std::size_t n);
 
     /** Remember the construction seed for fork() mixing. */
     static Rng seeded(std::uint64_t seed)

@@ -110,6 +110,26 @@ TEST_P(CellArrayTest, InterStringConductionIsOr)
     EXPECT_FALSE(c.get(3));
 }
 
+TEST_P(CellArrayTest, ErasedWordlinesAreTheAndIdentity)
+{
+    // Erased targets sense all-'1': a string whose first target is
+    // erased senses its programmed page alone, and a fully erased
+    // string conducts everywhere (so it saturates the OR).
+    WordlineAddr w1{0, 0, 0, 1};
+    cells.program(w1, page("1010"), meta);
+    WlSelection partial{0, 0, 0b111};
+    EXPECT_EQ(cells.senseConduction(0, {partial}, nullptr, 0),
+              page("1010"));
+    WlSelection erased{0, 1, 0b11};
+    EXPECT_TRUE(
+        cells.senseConduction(0, {erased}, nullptr, 0).allOnes());
+    EXPECT_TRUE(cells.senseConduction(0, {partial, erased}, nullptr, 0)
+                    .allOnes());
+    EXPECT_EQ(cells.senseConduction(0, {erased, partial}, nullptr, 0)
+                  .size(),
+              geom.pageBits());
+}
+
 TEST_P(CellArrayTest, CombinedConductionMatchesEquationOne)
 {
     // (A1 . A2) + (B1 . B2) — Equation 1 of the paper.

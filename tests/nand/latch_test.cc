@@ -33,6 +33,22 @@ TEST(LatchTest, InverseReadLatchesComplement)
     EXPECT_EQ(l.sense(), bits("0101"));
 }
 
+TEST(LatchTest, EvaluateFreshEqualsInitThenEvaluate)
+{
+    for (bool inverse : {false, true}) {
+        LatchArray ref(5), fresh(5);
+        ref.evaluate(bits("00000"), false, false); // S := 0 beforehand
+        fresh.evaluate(bits("00000"), false, false);
+        ref.initSense();
+        ref.evaluate(bits("10110"), inverse, true);
+        fresh.evaluateFresh(bits("10110"), inverse);
+        EXPECT_EQ(fresh.sense(), ref.sense()) << inverse;
+        EXPECT_FALSE(fresh.senseInitialized());
+    }
+    LatchArray l(4);
+    EXPECT_DEATH(l.evaluateFresh(bits("101"), false), "width");
+}
+
 TEST(LatchTest, InverseReadRequiresInitialization)
 {
     LatchArray l(4);

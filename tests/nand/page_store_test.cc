@@ -148,6 +148,32 @@ TEST(PageStoreEquivalenceTest, ConductionMatchesAcrossBackends)
               sparse.senseConduction(0, sels, nullptr, 0));
 }
 
+TEST(PageImageTest, RandomPagesMatchTheSeededRngPath)
+{
+    // Uniform Random descriptors materialize through Rng::fillSeeded;
+    // the bytes must be exactly the per-page Rng stream every golden
+    // was pinned with, plain and inverted, at tiny and Table-1 widths.
+    for (std::size_t bits :
+         {Geometry::tiny().pageBits(), Geometry::table1().pageBits()}) {
+        for (std::uint64_t seed :
+             {std::uint64_t{0}, std::uint64_t{3}, Rng::mix(101, 7)}) {
+            Rng rng = Rng::seeded(seed);
+            BitVector ref(bits);
+            ref.randomize(rng);
+            const PageImage img = PageImage::random(seed);
+            EXPECT_EQ(img.materialize(bits), ref) << bits << " " << seed;
+            EXPECT_EQ(img.inverted().materialize(bits), ~ref)
+                << bits << " " << seed;
+        }
+    }
+    // The biased Bernoulli path keeps its per-bit draw stream.
+    Rng rng = Rng::seeded(5);
+    BitVector biased(Geometry::tiny().pageBits());
+    biased.randomize(rng, 0.25);
+    EXPECT_EQ(PageImage::random(5, 0.25).materialize(biased.size()),
+              biased);
+}
+
 TEST(PageStoreScaleTest, Table1ChipStaysUnderByteBudget)
 {
     // A full Table-1 die with < 1% of its pages programmed must not

@@ -175,6 +175,24 @@ TEST(BitVectorTest, RandomizeIsSeedDeterministic)
     EXPECT_NEAR(static_cast<double>(a.popcount()), 250.0, 60.0);
 }
 
+TEST(BitVectorTest, RandomizeSeededMatchesRandomizeWithCleanTail)
+{
+    for (std::size_t bits : {1u, 63u, 65u, 200u, 256u, 1000u, 19967u}) {
+        for (std::uint64_t seed : {0ULL, 9ULL, ~0ULL}) {
+            Rng rng = Rng::seeded(seed);
+            BitVector ref(bits), fast(bits);
+            ref.randomize(rng);
+            fast.randomizeSeeded(seed);
+            EXPECT_EQ(fast, ref) << bits << " bits, seed " << seed;
+            // No ghost bits past size(): the last word's tail is zero.
+            const unsigned tail = bits & 63;
+            if (tail) {
+                EXPECT_EQ(fast.words().back() >> tail, 0u) << bits;
+            }
+        }
+    }
+}
+
 TEST(BitVectorTest, RandomizeBiased)
 {
     Rng rng = Rng::seeded(10);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace fcos {
@@ -36,6 +40,48 @@ TEST(RngTest, ForkIsDeterministicAndDecorrelated)
     Rng c1_again = Rng::seeded(7).fork(0);
     EXPECT_EQ(c1.nextU64(), c1_again.nextU64());
     EXPECT_NE(c1.nextU64(), c2.nextU64());
+}
+
+TEST(RngTest, FillSeededEqualsStdMt19937_64)
+{
+    // fillSeeded seeds and twists only a prefix of the state for short
+    // fills and refills in 312-word blocks, so sweep every length
+    // across the 156/157 and 312/313 boundaries (and into the third
+    // refill), plus a Table-1 page and one word more.
+    std::vector<std::uint64_t> seeds = {0, 1, ~0ULL};
+    for (std::uint64_t i = 0; i < 50; ++i)
+        seeds.push_back(Rng::mix(0xF1A5C05ULL, i));
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 1; n <= 700; ++n)
+        lengths.push_back(n);
+    lengths.push_back(2048);
+    lengths.push_back(2049);
+
+    std::vector<std::uint64_t> out(2049);
+    for (std::uint64_t seed : seeds) {
+        std::mt19937_64 ref_engine(seed);
+        std::vector<std::uint64_t> ref(2049);
+        for (auto &w : ref)
+            w = ref_engine();
+        for (std::size_t n : lengths) {
+            Rng::fillSeeded(seed, out.data(), n);
+            ASSERT_TRUE(std::equal(out.begin(), out.begin() + n,
+                                   ref.begin()))
+                << "seed " << seed << ", n " << n;
+        }
+    }
+    // ... and the same words the seeded Rng hands out one at a time.
+    Rng r = Rng::seeded(42);
+    Rng::fillSeeded(42, out.data(), 5);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(out[i], r.nextU64());
+}
+
+TEST(RngTest, FillSeededOfNothingWritesNothing)
+{
+    std::uint64_t sentinel = 0xDEADBEEF;
+    Rng::fillSeeded(7, &sentinel, 0);
+    EXPECT_EQ(sentinel, 0xDEADBEEFu);
 }
 
 TEST(RngTest, BoundedStaysInRange)
