@@ -13,7 +13,7 @@
 
 #include "bench/bench_util.h"
 #include "platforms/reports.h"
-#include "reliability/chip_farm.h"
+#include "reliability/chip_population.h"
 
 using namespace fcos;
 using namespace fcos::rel;
@@ -21,14 +21,14 @@ using namespace fcos::rel;
 namespace {
 
 double
-gridAverage(const ChipFarm &farm, nand::ProgramMode mode,
+gridAverage(const ChipPopulation &population, nand::ProgramMode mode,
             bool randomized)
 {
     double sum = 0.0;
     int n = 0;
     for (std::uint32_t pec : {0u, 1000u, 2000u, 3000u, 6000u, 10000u}) {
         for (double mo : {0.0, 1.0, 2.0, 3.0, 6.0, 12.0}) {
-            sum += farm.averageRber(
+            sum += population.averageRber(
                 mode, OperatingCondition{pec, mo, randomized});
             ++n;
         }
@@ -46,30 +46,33 @@ main(int argc, char **argv)
                   "RBER vs P/E cycles, retention age, programming "
                   "mode, and randomization (3,686,400 wordlines)");
 
-    // A reduced farm keeps the bench quick; statistics are analytic
-    // per block, so the population size only affects the variance of
-    // the process-variation average. The golden test pins the exact
-    // same panels through the same builder and farm config.
-    ChipFarm farm(plat::fig08FarmConfig());
+    // A reduced population keeps the bench quick; statistics are
+    // analytic per block, so the population size only affects the
+    // variance of the process-variation average. The golden test pins the exact
+    // same panels through the same builder and population config.
+    ChipPopulation population(plat::fig08PopulationConfig());
 
-    std::printf("%s\n", plat::fig08RberReport(farm).c_str());
+    std::printf("%s\n", plat::fig08RberReport(population).c_str());
 
-    double slc_r = gridAverage(farm, nand::ProgramMode::SlcRegular, true);
+    double slc_r =
+        gridAverage(population, nand::ProgramMode::SlcRegular, true);
     double slc_nr =
-        gridAverage(farm, nand::ProgramMode::SlcRegular, false);
-    double mlc_r = gridAverage(farm, nand::ProgramMode::Mlc, true);
-    double mlc_nr = gridAverage(farm, nand::ProgramMode::Mlc, false);
+        gridAverage(population, nand::ProgramMode::SlcRegular, false);
+    double mlc_r = gridAverage(population, nand::ProgramMode::Mlc, true);
+    double mlc_nr =
+        gridAverage(population, nand::ProgramMode::Mlc, false);
 
     OperatingCondition worst{10000, 12.0, true};
     double slc_worst =
-        farm.averageRber(nand::ProgramMode::SlcRegular, worst);
-    double mlc_worst = farm.averageRber(nand::ProgramMode::Mlc, worst);
+        population.averageRber(nand::ProgramMode::SlcRegular, worst);
+    double mlc_worst =
+        population.averageRber(nand::ProgramMode::Mlc, worst);
 
     double lo = 1e9, hi = 0.0;
     for (std::uint32_t pec : {0u, 1000u, 2000u, 3000u, 6000u, 10000u}) {
         for (double mo : {0.0, 1.0, 2.0, 3.0, 6.0, 12.0}) {
             for (bool r : {true, false}) {
-                double v = farm.averageRber(
+                double v = population.averageRber(
                     nand::ProgramMode::Mlc,
                     OperatingCondition{pec, mo, r});
                 lo = std::min(lo, v);

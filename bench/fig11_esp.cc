@@ -12,7 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "platforms/reports.h"
-#include "reliability/chip_farm.h"
+#include "reliability/chip_population.h"
 
 using namespace fcos;
 using namespace fcos::rel;
@@ -26,26 +26,26 @@ main(int argc, char **argv)
                   "10K P/E cycles, 1-year retention, worst-case "
                   "pattern");
 
-    ChipFarm farm; // full 160-chip population
+    ChipPopulation population; // full 160-chip population
     OperatingCondition worst{10000, 12.0, false};
 
     // Shared table builders (platforms/reports): the golden test pins
     // the same tables over a reduced population.
-    plat::fig11EspTable(farm, worst).print();
+    plat::fig11EspTable(population, worst).print();
 
     // The validation campaign: every page of 120 blocks on each of 160
     // chips (> 4.83e11 bits), Poisson-sampled error counts.
     std::printf("\nZero-error validation campaigns (4.83e11 bits):\n");
-    plat::fig11CampaignTable(farm, worst, 483000000000ULL).print();
+    plat::fig11CampaignTable(population, worst, 483000000000ULL).print();
     std::printf("\n");
 
-    auto base = farm.espRber(1.0, worst);
-    auto at16 = farm.espRber(1.6, worst);
-    auto at19 = farm.espRber(1.9, worst);
+    auto base = population.espRber(1.0, worst);
+    auto at16 = population.espRber(1.6, worst);
+    auto at19 = population.espRber(1.9, worst);
     nand::PageMeta meta19;
     meta19.mode = nand::ProgramMode::SlcEsp;
     meta19.espFactor = 1.9;
-    auto camp19 = farm.runCampaign(meta19, worst, 483000000000ULL);
+    auto camp19 = population.runCampaign(meta19, worst, 483000000000ULL);
 
     bench::anchor("median-block gain at tESP = 1.6x",
                   "~1 order of magnitude",

@@ -114,8 +114,8 @@ replayAnd3(std::uint32_t workers, std::uint64_t rows, std::uint64_t seed)
 
     Replay r;
     r.wallSeconds = wallSeconds(t0);
-    r.resultPages = st.streamChunks;
-    r.pagesSimulated = 3 * pages + st.streamChunks;
+    r.resultPages = st.resultPages;
+    r.pagesSimulated = 3 * pages + st.resultPages;
     r.digest = digest.digest();
     return r;
 }

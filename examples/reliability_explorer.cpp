@@ -8,13 +8,13 @@
  * Prints, for the chosen wear/retention point: the RBER of every
  * programming mode with and without randomization, the ESP
  * latency-reliability trade-off, and a Monte-Carlo error-count
- * campaign over the simulated 160-chip farm.
+ * campaign over the simulated 160-chip population.
  */
 
 #include <cstdio>
 #include <cstdlib>
 
-#include "reliability/chip_farm.h"
+#include "reliability/chip_population.h"
 #include "util/table.h"
 
 using namespace fcos;
@@ -64,7 +64,7 @@ main(int argc, char **argv)
     esp.print();
 
     std::printf("\n");
-    ChipFarm farm;
+    ChipPopulation population;
     nand::PageMeta esp_meta;
     esp_meta.mode = nand::ProgramMode::SlcEsp;
     esp_meta.espFactor = 2.0;
@@ -73,8 +73,8 @@ main(int argc, char **argv)
     slc_meta.randomized = false;
 
     const std::uint64_t bits = 483000000000ULL; // the paper's campaign
-    auto esp_campaign = farm.runCampaign(esp_meta, worst, bits);
-    auto slc_campaign = farm.runCampaign(slc_meta, worst, bits);
+    auto esp_campaign = population.runCampaign(esp_meta, worst, bits);
+    auto slc_campaign = population.runCampaign(slc_meta, worst, bits);
 
     TablePrinter camp("Error-count campaign over 160 chips, 4.83e11 bits");
     camp.setHeader({"storage", "observed errors", "expected",

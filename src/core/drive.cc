@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "core/lowering.h"
 #include "engine/result_stream.h"
@@ -72,23 +73,15 @@ sinkEmitter(ResultSink &sink, std::uint64_t page_bits,
 /** Per-request state of a streamed (planned) read. */
 struct StreamJob
 {
-    engine::OpStats os;
-    std::unique_ptr<engine::OrderedChunkStream> stream;
+    std::optional<engine::OrderedChunkStream> stream;
 };
 
 /** Per-request state of a fallback read/compute: captured leaf pages
  *  per column, evaluated controller-side at completion. */
 struct FallbackJob
 {
-    engine::OpStats os;
     std::vector<std::shared_ptr<std::map<VectorId, BitVector>>> vals;
     std::size_t leafReadsLeft = 0;
-};
-
-/** Per-request state of write-like ops (stats tallies only). */
-struct OpJob
-{
-    engine::OpStats os;
 };
 
 } // namespace
@@ -427,53 +420,20 @@ FlashCosmosDrive::submitWrite(const BitVector &data,
 {
     fcos_assert(!data.empty(), "fcWrite of empty vector");
     const std::uint64_t page_bits = cfg_.geometry.pageBits();
-    const std::uint64_t pages =
-        (data.size() + page_bits - 1) / page_bits;
-
-    if (opts.replaces != kNoVector)
-        trimVector(opts.replaces);
-    VectorInfo v = makeVector(data.size(), opts.group, opts.storeInverted,
-                              pages, opts.homeColumn);
-
     // The payload is sliced into page images now, at submit: the host
     // hands the data over with the request, so the caller's buffer may
     // die before admission.
-    auto images = std::make_shared<std::vector<nand::PageImage>>();
-    images->reserve(pages);
-    for (std::uint64_t j = 0; j < pages; ++j) {
-        std::uint64_t begin = j * page_bits;
-        std::uint64_t len =
-            std::min<std::uint64_t>(page_bits, data.size() - begin);
-        BitVector page(page_bits, false);
-        page.paste(0, data.slice(begin, len));
-        if (v.inverted)
-            page.invert();
-        images->push_back(nand::PageImage::dense(std::move(page)));
-    }
-
-    std::vector<ssd::PhysPage> page_list = resolvePages(v.pages);
-    std::vector<std::uint64_t> write_keys = blockKeysOf(page_list);
-    const VectorId id = allocVectorId(std::move(v));
-
-    RequestId rid = rq_.submit(
-        engine::RequestClass::Write, arrivalTime(ro), {},
-        std::move(write_keys),
-        [this, images,
-         page_list = std::move(page_list)](RequestId req) {
-            for (std::size_t j = 0; j < page_list.size(); ++j) {
-                rq_.addWork(req);
-                submitPageWrite(page_list[j], std::move((*images)[j]),
-                                nullptr,
-                                [this, req] { rq_.workDone(req); });
-            }
+    return submitWriteImages(
+        data.size(),
+        [&data, page_bits](std::uint64_t j) {
+            std::uint64_t begin = j * page_bits;
+            std::uint64_t len =
+                std::min<std::uint64_t>(page_bits, data.size() - begin);
+            BitVector page(page_bits, false);
+            page.paste(0, data.slice(begin, len));
+            return nand::PageImage::dense(std::move(page));
         },
-        [this, hook = ro.onOutcome](
-            const engine::RequestQueue::Outcome &oc) {
-            noteRequest("fcWrite", oc.admitted, oc.completed);
-            if (hook)
-                hook(oc);
-        });
-    return Submitted{rid, id};
+        (data.size() + page_bits - 1) / page_bits, opts, ro);
 }
 
 FlashCosmosDrive::Submitted
@@ -484,10 +444,21 @@ FlashCosmosDrive::submitWritePages(
 {
     fcos_assert(gen != nullptr, "fcWritePages without a generator");
     fcos_assert(pages >= 1, "fcWritePages of empty vector");
+    return submitWriteImages(pages * cfg_.geometry.pageBits(), gen, pages,
+                             opts, ro);
+}
+
+FlashCosmosDrive::Submitted
+FlashCosmosDrive::submitWriteImages(
+    std::size_t bits,
+    const std::function<nand::PageImage(std::uint64_t)> &gen,
+    std::uint64_t pages, const WriteOptions &opts,
+    const RequestOptions &ro)
+{
     if (opts.replaces != kNoVector)
         trimVector(opts.replaces);
-    VectorInfo v = makeVector(pages * cfg_.geometry.pageBits(), opts.group,
-                              opts.storeInverted, pages, opts.homeColumn);
+    VectorInfo v = makeVector(bits, opts.group, opts.storeInverted, pages,
+                              opts.homeColumn);
 
     // Generator runs host-side at submit, in page order (its call
     // sequence is part of the reproducibility contract).
@@ -555,21 +526,21 @@ FlashCosmosDrive::submitReplicate(VectorId src, std::uint64_t pages,
     std::vector<std::uint64_t> write_keys = blockKeysOf(dst_pages);
     const VectorId id = allocVectorId(std::move(v));
 
-    auto job = std::make_shared<OpJob>();
     RequestId rid = rq_.submit(
         engine::RequestClass::Write, arrivalTime(ro),
         blockKeysOf({src_page}), std::move(write_keys),
-        [this, job, src_page, targets = std::move(targets),
+        [this, stats, src_page, targets = std::move(targets),
          esp = nand::EspParams{cfg_.espFactor}](RequestId req) {
             for (std::size_t j = 0; j < targets.size(); ++j)
                 rq_.addWork(req);
             engine_.broadcastPage(src_page.die, src_page.addr, targets,
-                                  esp, &job->os,
+                                  esp, stats,
                                   [this, req] { rq_.workDone(req); });
         },
-        [this, job, stats, hook = ro.onOutcome](
+        [this, stats, hook = ro.onOutcome](
             const engine::RequestQueue::Outcome &oc) {
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
+            if (stats)
+                stats->makespan += oc.completed - oc.admitted;
             noteRequest("fcReplicate", oc.admitted, oc.completed);
             if (hook)
                 hook(oc);
@@ -591,29 +562,28 @@ FlashCosmosDrive::submitStreamedRead(
     return rq_.submit(
         engine::RequestClass::Read, arrivalTime(ro),
         std::move(read_keys), {},
-        [this, job, sink_p, pages, bits, page_bits,
+        [this, job, sink_p, stats, pages, bits, page_bits,
          make_program = std::move(make_program)](RequestId req) {
             sink_p->begin(StreamShape{pages, page_bits, bits});
-            job->stream = std::make_unique<engine::OrderedChunkStream>(
-                pages, sinkEmitter(*sink_p, page_bits, bits));
+            job->stream.emplace(pages,
+                                sinkEmitter(*sink_p, page_bits, bits));
             for (std::size_t j = 0; j < pages; ++j) {
                 engine::ColumnProgram prog = make_program(j);
                 prog.resultAtCapture = true;
                 prog.onResult = job->stream->handler(j);
                 prog.onComplete = [this, req] { rq_.workDone(req); };
                 rq_.addWork(req);
-                engine_.submit(std::move(prog), &job->os);
+                engine_.submit(std::move(prog), stats);
             }
         },
-        [this, job, sink_p, stats, pages, name,
+        [this, job, sink_p, stats, name,
          hook = ro.onOutcome](const engine::RequestQueue::Outcome &oc) {
             fcos_assert(job->stream->complete(),
                         "streamed %s lost pages", name);
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
             noteRequest(name, oc.admitted, oc.completed);
+            // resultPages was tallied by the engine at each readout.
             if (stats) {
-                stats->resultPages += pages;
-                stats->streamChunks += pages;
+                stats->makespan += oc.completed - oc.admitted;
                 stats->streamPeakPages = std::max<std::uint64_t>(
                     stats->streamPeakPages,
                     job->stream->peakBufferedPages());
@@ -665,7 +635,7 @@ FlashCosmosDrive::submitRead(const Expr &expr, ResultSink &sink,
     return rq_.submit(
         engine::RequestClass::Read, arrivalTime(ro), readKeysOf(leaves),
         {},
-        [this, job, sink_p, expr, pages, bits,
+        [this, job, sink_p, stats, expr, pages, bits,
          page_bits](RequestId req) {
             sink_p->begin(StreamShape{pages, page_bits, bits});
             job->vals.reserve(pages);
@@ -676,7 +646,7 @@ FlashCosmosDrive::submitRead(const Expr &expr, ResultSink &sink,
                     fallbackProgram(expr, j, job->vals[j]);
                 prog.onComplete = [this, req] { rq_.workDone(req); };
                 rq_.addWork(req);
-                engine_.submit(std::move(prog), &job->os);
+                engine_.submit(std::move(prog), stats);
             }
         },
         [this, job, sink_p, expr, stats, pages, bits, page_bits,
@@ -689,11 +659,12 @@ FlashCosmosDrive::submitRead(const Expr &expr, ResultSink &sink,
                                 return job->vals[j]->at(id);
                             }));
             }
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
             noteRequest("fcRead", oc.admitted, oc.completed);
+            // The leaf pages were read out with no result readout, so
+            // the evaluated pages are counted here.
             if (stats) {
+                stats->makespan += oc.completed - oc.admitted;
                 stats->resultPages += pages;
-                stats->streamChunks += pages;
                 stats->streamPeakPages = std::max<std::uint64_t>(
                     stats->streamPeakPages, pages);
             }
@@ -777,7 +748,7 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
         rid = rq_.submit(
             engine::RequestClass::Compute, arrivalTime(ro),
             std::move(read_keys), std::move(write_keys),
-            [this, job, stored_expr, pages,
+            [this, job, stats, stored_expr, pages,
              page_list = std::move(page_list)](RequestId req) {
                 job->vals.reserve(pages);
                 job->leafReadsLeft = pages;
@@ -786,7 +757,7 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                                         std::map<VectorId, BitVector>>());
                     engine::ColumnProgram prog =
                         fallbackProgram(stored_expr, j, job->vals[j]);
-                    prog.onComplete = [this, req, job, stored_expr,
+                    prog.onComplete = [this, req, job, stats, stored_expr,
                                        page_list] {
                         if (--job->leafReadsLeft == 0) {
                             for (std::size_t k = 0;
@@ -801,7 +772,7 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                                     page_list[k],
                                     nand::PageImage::dense(
                                         std::move(out)),
-                                    &job->os, [this, req] {
+                                    stats, [this, req] {
                                         rq_.workDone(req);
                                     });
                             }
@@ -809,12 +780,13 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                         rq_.workDone(req);
                     };
                     rq_.addWork(req);
-                    engine_.submit(std::move(prog), &job->os);
+                    engine_.submit(std::move(prog), stats);
                 }
             },
-            [this, job, stats, hook = ro.onOutcome](
+            [this, stats, hook = ro.onOutcome](
                 const engine::RequestQueue::Outcome &oc) {
-                mergeStats(stats, job->os, oc.completed - oc.admitted);
+                if (stats)
+                    stats->makespan += oc.completed - oc.admitted;
                 noteRequest("fcCompute", oc.admitted, oc.completed);
                 if (hook)
                     hook(oc);
@@ -822,11 +794,10 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
         return Submitted{rid, id};
     }
 
-    auto job = std::make_shared<OpJob>();
     rid = rq_.submit(
         engine::RequestClass::Compute, arrivalTime(ro),
         std::move(read_keys), std::move(write_keys),
-        [this, job, plan = std::move(plan), stored_expr, pages,
+        [this, stats, plan = std::move(plan), stored_expr, pages,
          page_list = std::move(page_list),
          esp = nand::EspParams{cfg_.espFactor}](RequestId req) {
             for (std::size_t j = 0; j < pages; ++j) {
@@ -849,12 +820,13 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                     0, 0});
                 prog.onComplete = [this, req] { rq_.workDone(req); };
                 rq_.addWork(req);
-                engine_.submit(std::move(prog), &job->os);
+                engine_.submit(std::move(prog), stats);
             }
         },
-        [this, job, stats, hook = ro.onOutcome](
+        [this, stats, hook = ro.onOutcome](
             const engine::RequestQueue::Outcome &oc) {
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
+            if (stats)
+                stats->makespan += oc.completed - oc.admitted;
             noteRequest("fcCompute", oc.admitted, oc.completed);
             if (hook)
                 hook(oc);
@@ -964,21 +936,6 @@ FlashCosmosDrive::noteRequest(const char *name, Time begin, Time end)
             .histogram(std::string("drive.latency.") + name)
             .record(end - begin);
     }
-}
-
-void
-FlashCosmosDrive::mergeStats(ReadStats *stats, const engine::OpStats &os,
-                             Time makespan)
-{
-    if (!stats)
-        return;
-    stats->mwsCommands += os.mwsCommands;
-    stats->senses += os.senses;
-    stats->latchXors += os.latchXors;
-    stats->pageReads += os.pageReads;
-    stats->nandTime += os.nandTime;
-    stats->nandEnergyJ += os.nandEnergyJ;
-    stats->makespan += makespan;
 }
 
 void

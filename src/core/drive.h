@@ -174,22 +174,20 @@ class FlashCosmosDrive : public StorageResolver
         const std::function<nand::PageImage(std::uint64_t)> &gen,
         std::uint64_t pages, const WriteOptions &opts);
 
-    struct ReadStats
+    /**
+     * The per-request record: the engine's execution counters
+     * (engine::OpStats, tallied as the request's NAND work commits)
+     * plus what only the drive knows. A record reused across requests
+     * accumulates: counters and makespan sum, streamPeakPages keeps the
+     * maximum, and the plan fields describe the latest planned request.
+     */
+    struct ReadStats : engine::OpStats
     {
         MwsPlan::Kind planKind = MwsPlan::Kind::Mws;
         std::string planText;
-        std::uint64_t mwsCommands = 0; ///< MWS sense commands issued
-        std::uint64_t senses = 0;      ///< total sensing operations
-        std::uint64_t latchXors = 0;   ///< on-chip XOR ops
-        std::uint64_t pageReads = 0;   ///< fallback serial page reads
-        std::uint64_t resultPages = 0; ///< pages read out of the chips
-        Time nandTime = 0;             ///< summed NAND busy time
-        double nandEnergyJ = 0.0;      ///< summed NAND energy
         /** Contention-accurate span of this operation on the engine's
          *  event-driven timeline (dies + channels). */
         Time makespan = 0;
-        /** Chunks delivered to the result sink (== resultPages). */
-        std::uint64_t streamChunks = 0;
         /** Memory high-water mark of the streamed read: most result
          *  pages ever held at once while re-ordering out-of-order
          *  column completions (the fallback path, which buffers every
@@ -462,9 +460,15 @@ class FlashCosmosDrive : public StorageResolver
                          engine::OpStats *stats,
                          std::function<void()> done = {});
 
-    /** Merge engine counters into @p stats (except resultPages). */
-    static void mergeStats(ReadStats *stats, const engine::OpStats &os,
-                           Time makespan);
+    /** Write-request body behind submitWrite and submitWritePages:
+     *  trims opts.replaces, allocates a @p bits-bit vector of @p pages
+     *  pages, then builds its page images with @p gen (in page order,
+     *  complemented when stored inverted). */
+    Submitted submitWriteImages(
+        std::size_t bits,
+        const std::function<nand::PageImage(std::uint64_t)> &gen,
+        std::uint64_t pages, const WriteOptions &opts,
+        const RequestOptions &ro);
 
     /** Block-grained conflict keys ((die, plane, block) packed) of a
      *  page set, sorted and deduped. */
@@ -479,9 +483,9 @@ class FlashCosmosDrive : public StorageResolver
     Time arrivalTime(const RequestOptions &ro) const;
 
     /** Streamed-read request core shared by submitRead (planned
-     *  paths) and submitReadVector: per-request OpStats + ordered
-     *  chunk stream, one engine program per page column from
-     *  @p make_program, completion finalizing stats and the sink. */
+     *  paths) and submitReadVector: an ordered chunk stream, one
+     *  engine program per page column from @p make_program,
+     *  completion finalizing stats and the sink. */
     RequestId submitStreamedRead(
         const char *name, std::size_t pages, std::size_t bits,
         std::vector<std::uint64_t> read_keys, ResultSink &sink,

@@ -201,15 +201,4 @@ ComputeEngine::broadcastPage(std::uint32_t src_die,
               : CommandScheduler::ExecutedFn{});
 }
 
-void
-ComputeEngine::replicatePage(std::uint32_t src_die,
-                             const nand::WordlineAddr &src,
-                             std::uint32_t dst_die,
-                             const nand::WordlineAddr &dst,
-                             const nand::EspParams &esp, OpStats *stats)
-{
-    broadcastPage(src_die, src, {BroadcastTarget{dst_die, dst}}, esp,
-                  stats);
-}
-
 } // namespace fcos::engine

@@ -97,12 +97,6 @@ class ComputeEngine
                        OpStats *stats = nullptr,
                        std::function<void()> on_target_done = {});
 
-    /** Single-destination convenience wrapper over broadcastPage(). */
-    void replicatePage(std::uint32_t src_die, const nand::WordlineAddr &src,
-                       std::uint32_t dst_die, const nand::WordlineAddr &dst,
-                       const nand::EspParams &esp = nand::EspParams{},
-                       OpStats *stats = nullptr);
-
     // --- unified timeline / energy ledger ---
     Time makespan() const { return scheduler_.makespan(); }
     Time dieBusyTime(std::uint32_t die) const

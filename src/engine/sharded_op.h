@@ -17,7 +17,7 @@
  *    column's die (Equation 1: only wordlines of the same plane's
  *    strings can be sensed together). Operands that are not — e.g. a
  *    single-page vector combined against striped ones — must first be
- *    *replicated* to each target column (ComputeEngine::replicatePage),
+ *    *replicated* to each target column (ComputeEngine::broadcastPage),
  *    paying channel time for the copies;
  *
  *  - per-die results are merged by the submitter: each program's
@@ -100,7 +100,8 @@ struct ColumnProgram
     std::function<void()> onComplete;
 };
 
-/** Execution counters in FlashCosmosDrive::ReadStats terms. */
+/** Execution counters, tallied as each step commits (the base of the
+ *  drive's per-request record, FlashCosmosDrive::ReadStats). */
 struct OpStats
 {
     std::uint64_t mwsCommands = 0; ///< MWS sense commands issued

@@ -131,10 +131,10 @@ fig07TimelineTable(const PlatformRunner &runner)
     return t;
 }
 
-rel::ChipFarm::Config
-fig08FarmConfig()
+rel::ChipPopulation::Config
+fig08PopulationConfig()
 {
-    rel::ChipFarm::Config cfg;
+    rel::ChipPopulation::Config cfg;
     cfg.chips = 40;
     cfg.blocksPerChip = 40;
     return cfg;
@@ -149,8 +149,8 @@ const double kFig08Months[] = {0.0, 1.0, 2.0, 3.0, 6.0, 12.0};
 } // namespace
 
 TablePrinter
-fig08RberPanel(const rel::ChipFarm &farm, nand::ProgramMode mode,
-               bool randomized)
+fig08RberPanel(const rel::ChipPopulation &population,
+               nand::ProgramMode mode, bool randomized)
 {
     std::string title = std::string("Avg. RBER [x1e-3], ") +
                         (mode == nand::ProgramMode::Mlc ? "MLC" : "SLC") +
@@ -161,7 +161,7 @@ fig08RberPanel(const rel::ChipFarm &farm, nand::ProgramMode mode,
     for (std::uint32_t pec : kFig08Pecs) {
         std::vector<std::string> row{std::to_string(pec / 1000) + "K"};
         for (double mo : kFig08Months) {
-            double rber = farm.averageRber(
+            double rber = population.averageRber(
                 mode, rel::OperatingCondition{pec, mo, randomized});
             row.push_back(TablePrinter::cell(rber * 1e3, 3));
         }
@@ -171,7 +171,7 @@ fig08RberPanel(const rel::ChipFarm &farm, nand::ProgramMode mode,
 }
 
 std::string
-fig08RberReport(const rel::ChipFarm &farm)
+fig08RberReport(const rel::ChipPopulation &population)
 {
     std::string out;
     for (nand::ProgramMode mode :
@@ -179,21 +179,21 @@ fig08RberReport(const rel::ChipFarm &farm)
         for (bool randomized : {true, false}) {
             if (!out.empty())
                 out += "\n";
-            out += fig08RberPanel(farm, mode, randomized).toString();
+            out += fig08RberPanel(population, mode, randomized).toString();
         }
     }
     return out;
 }
 
 TablePrinter
-fig11EspTable(const rel::ChipFarm &farm,
+fig11EspTable(const rel::ChipPopulation &population,
               const rel::OperatingCondition &cond)
 {
     TablePrinter t("RBER per 1-KiB data vs ESP latency");
     t.setHeader({"tESP/tPROG", "tESP", "worst", "median", "best"});
     for (double f :
          {1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0}) {
-        auto p = farm.espRber(f, cond);
+        auto p = population.espRber(f, cond);
         char lat[32];
         std::snprintf(lat, sizeof(lat), "%.0f us", 200.0 * f);
         t.addRow({TablePrinter::cell(f, 1), lat,
@@ -205,7 +205,7 @@ fig11EspTable(const rel::ChipFarm &farm,
 }
 
 TablePrinter
-fig11CampaignTable(const rel::ChipFarm &farm,
+fig11CampaignTable(const rel::ChipPopulation &population,
                    const rel::OperatingCondition &cond,
                    std::uint64_t total_bits)
 {
@@ -215,7 +215,7 @@ fig11CampaignTable(const rel::ChipFarm &farm,
         nand::PageMeta meta;
         meta.mode = nand::ProgramMode::SlcEsp;
         meta.espFactor = f;
-        auto camp = farm.runCampaign(meta, cond, total_bits);
+        auto camp = population.runCampaign(meta, cond, total_bits);
         t.addRow({TablePrinter::cell(f, 1),
                   TablePrinter::cellInt(
                       static_cast<long long>(camp.errors)),

@@ -18,7 +18,7 @@
 #include "host/host_model.h"
 #include "platforms/runner.h"
 #include "platforms/sweep.h"
-#include "reliability/chip_farm.h"
+#include "reliability/chip_population.h"
 #include "ssd/config.h"
 #include "util/table.h"
 
@@ -66,21 +66,21 @@ TablePrinter fig18EnergyTable(const std::vector<SweepSeries> &series);
  * golden test pins — per-block statistics are analytic, so the
  * population size only affects the process-variation average.
  */
-rel::ChipFarm::Config fig08FarmConfig();
+rel::ChipPopulation::Config fig08PopulationConfig();
 
 /**
  * One Figure 8 panel: population-average RBER across the (P/E cycles,
  * retention months) measurement grid for a programming mode, with or
  * without data randomization.
  */
-TablePrinter fig08RberPanel(const rel::ChipFarm &farm,
+TablePrinter fig08RberPanel(const rel::ChipPopulation &population,
                             nand::ProgramMode mode, bool randomized);
 
 /** All four Figure 8 panels (SLC/MLC x randomization) concatenated. */
-std::string fig08RberReport(const rel::ChipFarm &farm);
+std::string fig08RberReport(const rel::ChipPopulation &population);
 
 /** Figure 11: RBER vs tESP for the worst / median / best block. */
-TablePrinter fig11EspTable(const rel::ChipFarm &farm,
+TablePrinter fig11EspTable(const rel::ChipPopulation &population,
                            const rel::OperatingCondition &cond);
 
 /**
@@ -88,7 +88,7 @@ TablePrinter fig11EspTable(const rel::ChipFarm &farm,
  * error counts over @p total_bits at tESP factors 1.5 / 1.7 / 1.9 /
  * 2.0 (Poisson-sampled from the analytic rates).
  */
-TablePrinter fig11CampaignTable(const rel::ChipFarm &farm,
+TablePrinter fig11CampaignTable(const rel::ChipPopulation &population,
                                 const rel::OperatingCondition &cond,
                                 std::uint64_t total_bits);
 

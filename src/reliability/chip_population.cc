@@ -1,4 +1,4 @@
-#include "reliability/chip_farm.h"
+#include "reliability/chip_population.h"
 
 #include <algorithm>
 #include <cmath>
@@ -8,12 +8,13 @@
 
 namespace fcos::rel {
 
-ChipFarm::ChipFarm() : ChipFarm(Config{}) {}
+ChipPopulation::ChipPopulation() : ChipPopulation(Config{}) {}
 
-ChipFarm::ChipFarm(const Config &cfg) : cfg_(cfg), model_(cfg.vth)
+ChipPopulation::ChipPopulation(const Config &cfg)
+    : cfg_(cfg), model_(cfg.vth)
 {
     fcos_assert(cfg.chips > 0 && cfg.blocksPerChip > 0,
-                "empty chip farm");
+                "empty chip population");
     Rng rng = Rng::seeded(cfg.seed);
     qualities_.reserve(static_cast<std::size_t>(cfg.chips) *
                        cfg.blocksPerChip);
@@ -31,21 +32,21 @@ ChipFarm::ChipFarm(const Config &cfg) : cfg_(cfg), model_(cfg.vth)
 }
 
 double
-ChipFarm::blockQuality(std::size_t index) const
+ChipPopulation::blockQuality(std::size_t index) const
 {
     fcos_assert(index < qualities_.size(), "block index out of range");
     return qualities_[index];
 }
 
 std::uint64_t
-ChipFarm::totalWordlines() const
+ChipPopulation::totalWordlines() const
 {
     return static_cast<std::uint64_t>(qualities_.size()) *
            cfg_.wordlinesPerBlock;
 }
 
 double
-ChipFarm::blockRber(nand::ProgramMode mode, double esp_factor,
+ChipPopulation::blockRber(nand::ProgramMode mode, double esp_factor,
                     const OperatingCondition &cond,
                     std::size_t index) const
 {
@@ -64,7 +65,7 @@ ChipFarm::blockRber(nand::ProgramMode mode, double esp_factor,
 }
 
 double
-ChipFarm::averageRber(nand::ProgramMode mode,
+ChipPopulation::averageRber(nand::ProgramMode mode,
                       const OperatingCondition &cond) const
 {
     double sum = 0.0;
@@ -73,8 +74,9 @@ ChipFarm::averageRber(nand::ProgramMode mode,
     return sum / static_cast<double>(qualities_.size());
 }
 
-ChipFarm::EspPoint
-ChipFarm::espRber(double esp_factor, const OperatingCondition &cond) const
+ChipPopulation::EspPoint
+ChipPopulation::espRber(double esp_factor,
+                        const OperatingCondition &cond) const
 {
     std::vector<double> rbers(qualities_.size());
     for (std::size_t i = 0; i < qualities_.size(); ++i)
@@ -87,8 +89,8 @@ ChipFarm::espRber(double esp_factor, const OperatingCondition &cond) const
     return p;
 }
 
-ChipFarm::Campaign
-ChipFarm::runCampaign(const nand::PageMeta &meta,
+ChipPopulation::Campaign
+ChipPopulation::runCampaign(const nand::PageMeta &meta,
                       const OperatingCondition &cond,
                       std::uint64_t total_bits, std::uint64_t seed) const
 {

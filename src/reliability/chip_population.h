@@ -13,8 +13,8 @@
  * Monte Carlo at a tiny fraction of the cost.
  */
 
-#ifndef FCOS_RELIABILITY_CHIP_FARM_H
-#define FCOS_RELIABILITY_CHIP_FARM_H
+#ifndef FCOS_RELIABILITY_CHIP_POPULATION_H
+#define FCOS_RELIABILITY_CHIP_POPULATION_H
 
 #include <cstdint>
 #include <vector>
@@ -24,7 +24,7 @@
 
 namespace fcos::rel {
 
-class ChipFarm
+class ChipPopulation
 {
   public:
     struct Config
@@ -41,8 +41,8 @@ class ChipFarm
     };
 
     /** Construct with the paper's default population. */
-    ChipFarm();
-    explicit ChipFarm(const Config &cfg);
+    ChipPopulation();
+    explicit ChipPopulation(const Config &cfg);
 
     const Config &config() const { return cfg_; }
     const VthModel &model() const { return model_; }
@@ -106,4 +106,4 @@ class ChipFarm
 
 } // namespace fcos::rel
 
-#endif // FCOS_RELIABILITY_CHIP_FARM_H
+#endif // FCOS_RELIABILITY_CHIP_POPULATION_H

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/drive.h"
@@ -250,6 +251,169 @@ TEST_F(DriveTest, MultiPageVectorsSpanDiesAndPlanes)
     for (const auto &p : pages)
         columns.insert({p.die, p.addr.plane});
     EXPECT_EQ(columns.size(), 8u);
+}
+
+// --------------------------------------------------------------------------
+// Timeline and energy: every request runs on the engine's clock and ledger
+// --------------------------------------------------------------------------
+
+TEST_F(DriveTest, WriteAdvancesClockPastEspProgram)
+{
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 4;
+    FlashCosmosDrive drive(cfg);
+    BitVector data = randomVec(200); // one page
+    FlashCosmosDrive::WriteOptions opts;
+    opts.group = 1;
+    VectorId id = drive.fcWrite(data, opts);
+    // At minimum: the channel data-in plus one ESP program.
+    EXPECT_GE(drive.now(), cfg.timings.tProgEsp);
+    EXPECT_EQ(drive.readVector(id), data);
+}
+
+TEST_F(DriveTest, AndReadIsTimedAndBooksMwsEnergy)
+{
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 4;
+    FlashCosmosDrive drive(cfg);
+    FlashCosmosDrive::WriteOptions opts;
+    opts.group = 2;
+    // Eight operands fill one 8-wordline string: one MWS per page.
+    std::vector<BitVector> data;
+    std::vector<Expr> leaves;
+    for (int i = 0; i < 8; ++i) {
+        data.push_back(randomVec(1000));
+        leaves.push_back(Expr::leaf(drive.fcWrite(data.back(), opts)));
+    }
+    const Time writes_done = drive.now();
+
+    FlashCosmosDrive::ReadStats stats;
+    BitVector result = drive.fcRead(Expr::And(leaves), &stats);
+    BitVector expected = data[0];
+    for (int i = 1; i < 8; ++i)
+        expected &= data[i];
+    EXPECT_EQ(result, expected);
+    EXPECT_GT(stats.makespan, 0u);
+    EXPECT_EQ(drive.now(), writes_done + stats.makespan);
+    EXPECT_EQ(stats.mwsCommands, stats.resultPages);
+
+    const ssd::EnergyMeter &meter = drive.engine().energy();
+    EXPECT_GT(meter.get(ssd::EnergyComponent::NandMws), 0.0);
+    EXPECT_GT(meter.get(ssd::EnergyComponent::NandProgram),
+              meter.get(ssd::EnergyComponent::NandMws));
+}
+
+// --------------------------------------------------------------------------
+// ReadStats: the one per-request record
+// --------------------------------------------------------------------------
+
+TEST_F(DriveTest, ReusedReadStatsSumsFieldWise)
+{
+    FlashCosmosDrive drive;
+    FlashCosmosDrive::WriteOptions opts;
+    opts.group = 3;
+    std::vector<Expr> leaves;
+    for (int i = 0; i < 4; ++i)
+        leaves.push_back(Expr::leaf(drive.fcWrite(randomVec(1500), opts)));
+    const Expr q1 = Expr::And(leaves);
+    const Expr q2 = Expr::Xor(leaves[0], leaves[1]);
+
+    FlashCosmosDrive::ReadStats s1, s2, both;
+    drive.fcRead(q1, &s1);
+    drive.fcRead(q2, &s2);
+    drive.fcRead(q1, &both);
+    drive.fcRead(q2, &both);
+
+    EXPECT_EQ(both.mwsCommands, s1.mwsCommands + s2.mwsCommands);
+    EXPECT_EQ(both.senses, s1.senses + s2.senses);
+    EXPECT_EQ(both.latchXors, s1.latchXors + s2.latchXors);
+    EXPECT_EQ(both.pageReads, s1.pageReads + s2.pageReads);
+    EXPECT_EQ(both.programs, s1.programs + s2.programs);
+    EXPECT_EQ(both.resultPages, s1.resultPages + s2.resultPages);
+    EXPECT_EQ(both.copybacks, s1.copybacks + s2.copybacks);
+    EXPECT_EQ(both.erases, s1.erases + s2.erases);
+    EXPECT_EQ(both.nandTime, s1.nandTime + s2.nandTime);
+    EXPECT_DOUBLE_EQ(both.nandEnergyJ, s1.nandEnergyJ + s2.nandEnergyJ);
+    EXPECT_EQ(both.makespan, s1.makespan + s2.makespan);
+    EXPECT_EQ(both.streamPeakPages,
+              std::max(s1.streamPeakPages, s2.streamPeakPages));
+    // The plan fields describe the latest request.
+    EXPECT_EQ(both.planKind, s2.planKind);
+    EXPECT_EQ(both.planText, s2.planText);
+    EXPECT_GT(s2.latchXors, 0u);
+}
+
+TEST_F(DriveTest, ResultPagesCountsDeliveredChunks)
+{
+    setQuietWarnings(true);
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 4;
+    FlashCosmosDrive drive(cfg);
+    FlashCosmosDrive::WriteOptions g1, g2;
+    g1.group = 4;
+    g2.group = 5;
+    std::vector<Expr> a, b;
+    for (int i = 0; i < 10; ++i) {
+        a.push_back(Expr::leaf(drive.fcWrite(randomVec(1000), g1)));
+        b.push_back(Expr::leaf(drive.fcWrite(randomVec(1000), g2)));
+    }
+    std::uint64_t chunks = 0;
+    ChunkCallbackSink counter([&chunks](const ResultChunk &) { ++chunks; });
+    const std::uint64_t pages =
+        drive.vectorPages(a[0].leafIds()[0]).size();
+    ASSERT_GT(pages, 1u);
+
+    FlashCosmosDrive::ReadStats mws;
+    drive.fcRead(Expr::And(a), counter, &mws);
+    EXPECT_EQ(mws.planKind, MwsPlan::Kind::Mws);
+    EXPECT_EQ(chunks, pages);
+    EXPECT_EQ(mws.resultPages, chunks);
+
+    chunks = 0;
+    FlashCosmosDrive::ReadStats plain;
+    drive.readVector(b[0].leafIds()[0], counter, &plain);
+    EXPECT_EQ(chunks, pages);
+    EXPECT_EQ(plain.resultPages, chunks);
+
+    // Two deep chains OR'd together: the serial-read fallback.
+    chunks = 0;
+    FlashCosmosDrive::ReadStats fallback;
+    drive.fcRead(Expr::Or({Expr::And(a), Expr::And(b)}), counter,
+                 &fallback);
+    EXPECT_EQ(fallback.planKind, MwsPlan::Kind::Fallback);
+    EXPECT_EQ(chunks, pages);
+    EXPECT_EQ(fallback.resultPages, chunks);
+    setQuietWarnings(false);
+}
+
+TEST_F(DriveTest, ComputeAndReplicateCountProgramsNotResultPages)
+{
+    FlashCosmosDrive drive;
+    FlashCosmosDrive::WriteOptions opts;
+    opts.group = 6;
+    BitVector a = randomVec(2000), b = randomVec(2000);
+    Expr ea = Expr::leaf(drive.fcWrite(a, opts));
+    Expr eb = Expr::leaf(drive.fcWrite(b, opts));
+    const std::uint64_t pages =
+        drive.vectorPages(ea.leafIds()[0]).size();
+
+    // The result is programmed from the latch and never leaves the die.
+    FlashCosmosDrive::ReadStats cs;
+    VectorId c = drive.fcCompute(ea & eb, opts, &cs);
+    EXPECT_EQ(cs.resultPages, 0u);
+    EXPECT_EQ(cs.programs, pages);
+    EXPECT_EQ(cs.mwsCommands, pages);
+    EXPECT_GT(cs.makespan, 0u);
+    EXPECT_EQ(drive.readVector(c), a & b);
+
+    // One sense feeds every copy; the copies are programs, not reads.
+    VectorId mask = drive.fcWrite(randomVec(200));
+    FlashCosmosDrive::ReadStats rs;
+    drive.fcReplicate(mask, pages, opts, &rs);
+    EXPECT_EQ(rs.resultPages, 0u);
+    EXPECT_EQ(rs.programs, pages);
+    EXPECT_EQ(rs.pageReads, 1u);
+    EXPECT_GT(rs.makespan, 0u);
 }
 
 } // namespace

@@ -264,7 +264,7 @@ TEST(StreamedReadEquivalenceTest, CorpusPayloadsAndTimelinesMatch)
         EXPECT_EQ(pop.ones(), dense.popcount());
 
         // Chunks in strictly increasing page order.
-        ASSERT_EQ(order.size(), ss.streamChunks);
+        ASSERT_EQ(order.size(), ss.resultPages);
         for (std::size_t j = 0; j < order.size(); ++j)
             EXPECT_EQ(order[j], j);
 
@@ -292,7 +292,9 @@ TEST(StreamedReadEquivalenceTest, CorpusPayloadsAndTimelinesMatch)
     streamed_drive.drive.readVector(streamed_corpus.plain_a, collect,
                                     &rs);
     EXPECT_EQ(collect.result(), direct);
-    EXPECT_EQ(rs.streamChunks, rs.resultPages);
+    EXPECT_EQ(rs.resultPages,
+              streamed_drive.drive.vectorPages(streamed_corpus.plain_a)
+                  .size());
 }
 
 TEST(StreamedReadEquivalenceTest, ComparatorVerifiesProceduralRead)
@@ -323,7 +325,7 @@ TEST(StreamedReadEquivalenceTest, ComparatorVerifiesProceduralRead)
     drive.fcRead(Expr::And({Expr::leaf(a), Expr::leaf(b)}), cmp, &st);
     EXPECT_TRUE(cmp.allMatched());
     EXPECT_EQ(cmp.pagesChecked(), pages);
-    EXPECT_EQ(st.streamChunks, pages);
+    EXPECT_EQ(st.resultPages, pages);
     // The re-ordering window stays far below the result size.
     EXPECT_LT(st.streamPeakPages, pages);
 }

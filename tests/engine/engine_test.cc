@@ -162,7 +162,7 @@ TEST(ComputeEngineTest, ProgramReadsOutResultPage)
     EXPECT_GT(eng.energy().get(ssd::EnergyComponent::ChannelDma), 0.0);
 }
 
-TEST(ComputeEngineTest, ReplicatePageCopiesAcrossDies)
+TEST(ComputeEngineTest, SingleTargetBroadcastCopiesAcrossDies)
 {
     ComputeEngine eng(smallFarm(2, 2));
     Rng rng = Rng::seeded(6);
@@ -171,7 +171,7 @@ TEST(ComputeEngineTest, ReplicatePageCopiesAcrossDies)
                                       nand::EspParams{2.0});
 
     OpStats stats;
-    eng.replicatePage(0, {0, 1, 0, 0}, 3, {1, 2, 1, 4},
+    eng.broadcastPage(0, {0, 1, 0, 0}, {{3, {1, 2, 1, 4}}},
                       nand::EspParams{2.0}, &stats);
     eng.drain();
 
@@ -218,8 +218,8 @@ TEST(ComputeEngineTest, BroadcastSensesOnceAndFansOut)
                                          nand::EspParams{2.0});
     OpStats serial_stats;
     for (const auto &t : targets)
-        serial.replicatePage(0, {0, 1, 0, 0}, t.die, t.addr,
-                             nand::EspParams{2.0}, &serial_stats);
+        serial.broadcastPage(0, {0, 1, 0, 0}, {t}, nand::EspParams{2.0},
+                             &serial_stats);
     Time serial_makespan = serial.drain();
     EXPECT_EQ(serial_stats.pageReads, 3u);
     EXPECT_LT(broadcast_makespan, serial_makespan);

@@ -88,7 +88,7 @@ TEST(BeyondDramScaleTest, DriveStreamsAnEightMebibyteResult)
     EXPECT_EQ(cmp.pagesChecked(), pages);
     EXPECT_EQ(cmp.mismatchedPages(), 0u);
     EXPECT_TRUE(cmp.allMatched());
-    EXPECT_EQ(st.streamChunks, pages);
+    EXPECT_EQ(st.resultPages, pages);
     EXPECT_EQ(st.planKind, core::MwsPlan::Kind::Mws);
 
     // The streamed read's peak result-side memory — the re-ordering
@@ -102,7 +102,7 @@ TEST(BeyondDramScaleTest, DriveStreamsAnEightMebibyteResult)
     TablePrinter t("Beyond-DRAM drive read (AND3, 4 rows x 128 columns)");
     t.setHeader({"metric", "value"});
     t.addRow({"dense result size", formatBytes(dense_bytes)});
-    t.addRow({"stream chunks", std::to_string(st.streamChunks)});
+    t.addRow({"stream chunks", std::to_string(st.resultPages)});
     t.addRow({"stream digest",
               std::to_string(digest.digest())});
     t.addRow({"MWS commands", std::to_string(st.mwsCommands)});

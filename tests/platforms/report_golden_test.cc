@@ -74,38 +74,39 @@ TEST(ReportGoldenTest, Fig18EnergyTableIsPinned)
 
 TEST(ReportGoldenTest, Fig08RberPanelsArePinned)
 {
-    // All four panels through the same builder and reduced farm the
-    // bench prints with — drift in the V_TH model curves fails here.
-    rel::ChipFarm farm(fig08FarmConfig());
-    EXPECT_TRUE(test::MatchesGolden(fig08RberReport(farm),
+    // All four panels through the same builder and reduced population
+    // the bench prints with — drift in the V_TH model curves fails here.
+    rel::ChipPopulation population(fig08PopulationConfig());
+    EXPECT_TRUE(test::MatchesGolden(fig08RberReport(population),
                                     "golden/fig08_rber.txt"));
 }
 
 /** Reduced chip population for the Figure 11 pins: same builders as
- *  the bench (which uses the full 160-chip farm). */
-rel::ChipFarm
-fig11ReducedFarm()
+ *  the bench (which uses the full 160-chip population). */
+rel::ChipPopulation
+fig11ReducedPopulation()
 {
-    rel::ChipFarm::Config cfg;
+    rel::ChipPopulation::Config cfg;
     cfg.chips = 20;
     cfg.blocksPerChip = 30;
-    return rel::ChipFarm(cfg);
+    return rel::ChipPopulation(cfg);
 }
 
 TEST(ReportGoldenTest, Fig11EspTableIsPinned)
 {
-    rel::ChipFarm farm = fig11ReducedFarm();
+    rel::ChipPopulation population = fig11ReducedPopulation();
     rel::OperatingCondition worst{10000, 12.0, false};
-    EXPECT_TRUE(test::MatchesGolden(fig11EspTable(farm, worst).toString(),
-                                    "golden/fig11_esp.txt"));
+    EXPECT_TRUE(
+        test::MatchesGolden(fig11EspTable(population, worst).toString(),
+                            "golden/fig11_esp.txt"));
 }
 
 TEST(ReportGoldenTest, Fig11CampaignTableIsPinned)
 {
-    rel::ChipFarm farm = fig11ReducedFarm();
+    rel::ChipPopulation population = fig11ReducedPopulation();
     rel::OperatingCondition worst{10000, 12.0, false};
     EXPECT_TRUE(test::MatchesGolden(
-        fig11CampaignTable(farm, worst, 10000000000ULL).toString(),
+        fig11CampaignTable(population, worst, 10000000000ULL).toString(),
         "golden/fig11_campaign.txt"));
 }
 

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "reliability/chip_farm.h"
+#include "reliability/chip_population.h"
 #include "tests/support/grids.h"
 
 namespace fcos::rel {
@@ -19,10 +19,10 @@ namespace {
 using test::GridPoint;
 
 /** One shared population: construction samples 19,200 block qualities. */
-const ChipFarm &
-farm()
+const ChipPopulation &
+population()
 {
-    static const ChipFarm *f = new ChipFarm();
+    static const ChipPopulation *f = new ChipPopulation();
     return *f;
 }
 
@@ -33,9 +33,9 @@ TEST_P(FullGridPopulationTest, ModeOrderingOverPopulation)
 {
     const GridPoint g = GetParam();
     OperatingCondition c{g.pec, g.months, false};
-    double slc = farm().averageRber(nand::ProgramMode::SlcRegular, c);
-    double mlc = farm().averageRber(nand::ProgramMode::Mlc, c);
-    double esp = farm().averageRber(nand::ProgramMode::SlcEsp, c);
+    double slc = population().averageRber(nand::ProgramMode::SlcRegular, c);
+    double mlc = population().averageRber(nand::ProgramMode::Mlc, c);
+    double esp = population().averageRber(nand::ProgramMode::SlcEsp, c);
     // Population averages keep the per-block ordering: ESP <= SLC,
     // SLC no worse than MLC (small tolerance for the tail average).
     EXPECT_LE(esp, slc * (1.0 + 1e-9));
@@ -50,7 +50,7 @@ TEST_P(FullGridPopulationTest, EspSpreadOrderedAndReliable)
 {
     const GridPoint g = GetParam();
     OperatingCondition c{g.pec, g.months, false};
-    ChipFarm::EspPoint p = farm().espRber(2.0, c);
+    ChipPopulation::EspPoint p = population().espRber(2.0, c);
     EXPECT_LE(p.best, p.median);
     EXPECT_LE(p.median, p.worst);
     // The paper's headline: at the full 2.0x extension even the worst
@@ -68,8 +68,8 @@ TEST_P(FullGridPopulationTest, CampaignErrorDrawsMatchAnalyticRate)
     meta.mode = nand::ProgramMode::SlcEsp;
     meta.espFactor = 2.0;
     meta.randomized = false;
-    ChipFarm::Campaign camp =
-        farm().runCampaign(meta, c, /*total_bits=*/1ULL << 30);
+    ChipPopulation::Campaign camp =
+        population().runCampaign(meta, c, /*total_bits=*/1ULL << 30);
     EXPECT_EQ(camp.bits, 1ULL << 30);
     // ESP 2.0 reproduces the ">4.83e11 bits, zero errors" property at
     // campaign scale on every grid point.
