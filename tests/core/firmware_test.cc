@@ -1,11 +1,12 @@
 /**
  * @file
- * Firmware tests: the functional + timed request path (Section 6.3).
+ * Firmware request-path tests (Section 6.3): fc_write and fc_read run
+ * on the drive's one timeline and energy ledger, the engine's.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/firmware.h"
+#include "core/drive.h"
 #include "tests/support/random_fixture.h"
 
 namespace fcos::core {
@@ -13,87 +14,52 @@ namespace {
 
 class FirmwareTest : public test::RandomTest
 {
-  protected:
-    FirmwareTest()
-        : test::RandomTest(/*seed=*/5), drive(driveConfig()),
-          fw(drive, ssdConfig())
-    {}
-
-    static FlashCosmosDrive::Config driveConfig()
-    {
-        FlashCosmosDrive::Config cfg;
-        cfg.dies = 4;
-        return cfg;
-    }
-    static ssd::SsdConfig ssdConfig()
-    {
-        return ssd::SsdConfig::table1();
-    }
-
-    FlashCosmosDrive drive;
-    FcFirmware fw;
 };
 
-TEST_F(FirmwareTest, ConfigAdoptsDriveGeometry)
+TEST_F(FirmwareTest, WriteAdvancesClockPastEspProgram)
 {
-    EXPECT_EQ(fw.config().geometry.pageBytes,
-              nand::Geometry::tiny().pageBytes);
-    EXPECT_EQ(fw.config().channels * fw.config().diesPerChannel, 4u);
-}
-
-TEST_F(FirmwareTest, TimedWriteCompletesAfterProgramLatency)
-{
-    BitVector data = randomVec(200); // one page per column at most
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 4;
+    FlashCosmosDrive drive(cfg);
+    BitVector data = randomVec(200); // one page
     FlashCosmosDrive::WriteOptions opts;
     opts.group = 1;
-    auto w = fw.fcWrite(data, opts);
-    // At minimum: external transfer + channel DMA + one ESP program.
-    EXPECT_GE(w.completedAt, fw.config().timings.tProgEsp);
-    EXPECT_EQ(drive.readVector(w.id), data);
+    VectorId id = drive.fcWrite(data, opts);
+    // At minimum: the channel data-in plus one ESP program.
+    EXPECT_GE(drive.now(), cfg.timings.tProgEsp);
+    EXPECT_EQ(drive.readVector(id), data);
 }
 
-TEST_F(FirmwareTest, TimedReadReturnsExactDataAndTime)
+TEST_F(FirmwareTest, AndReadIsTimedAndBooksMwsEnergy)
 {
-    FlashCosmosDrive::WriteOptions opts;
-    opts.group = 1;
-    BitVector a = randomVec(2000), b = randomVec(2000);
-    auto wa = fw.fcWrite(a, opts);
-    auto wb = fw.fcWrite(b, opts);
-
-    auto r = fw.fcRead(Expr::And({Expr::leaf(wa.id), Expr::leaf(wb.id)}));
-    EXPECT_EQ(r.data, a & b);
-    EXPECT_GT(r.completedAt, wb.completedAt);
-    EXPECT_GT(r.stats.mwsCommands, 0u);
-    // Energy was accounted on the timing side too.
-    EXPECT_GT(fw.sim().energy().get(ssd::EnergyComponent::NandMws),
-              0.0);
-    EXPECT_GT(fw.sim().energy().get(ssd::EnergyComponent::ExternalLink),
-              0.0);
-}
-
-TEST_F(FirmwareTest, MwsReadIsFasterThanOperandStreaming)
-{
-    // The Figure 7 argument, end to end on the firmware: reading the
-    // single AND result takes less link time than shipping all
-    // operands out (8 operands of 4 pages each vs 4 result pages).
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 4;
+    FlashCosmosDrive drive(cfg);
     FlashCosmosDrive::WriteOptions opts;
     opts.group = 2;
+    // Eight operands fill one 8-wordline string: one MWS per page.
+    std::vector<BitVector> data;
     std::vector<Expr> leaves;
-    Time write_done = 0;
     for (int i = 0; i < 8; ++i) {
-        auto w = fw.fcWrite(randomVec(1000), opts);
-        leaves.push_back(Expr::leaf(w.id));
-        write_done = w.completedAt;
+        data.push_back(randomVec(1000));
+        leaves.push_back(Expr::leaf(drive.fcWrite(data.back(), opts)));
     }
-    Time before = fw.sim().externalBusyTime();
-    auto r = fw.fcRead(Expr::And(leaves));
-    Time result_link_time = fw.sim().externalBusyTime() - before;
+    const Time writes_done = drive.now();
 
-    // Shipping 8 operands would cost 8x the result's link time.
-    EXPECT_LT(result_link_time * 8,
-              fw.sim().externalBusyTime() * 8); // sanity
-    EXPECT_GT(r.completedAt, write_done);
-    EXPECT_EQ(r.stats.mwsCommands, r.stats.resultPages);
+    FlashCosmosDrive::ReadStats stats;
+    BitVector result = drive.fcRead(Expr::And(leaves), &stats);
+    BitVector expected = data[0];
+    for (int i = 1; i < 8; ++i)
+        expected &= data[i];
+    EXPECT_EQ(result, expected);
+    EXPECT_GT(stats.makespan, 0u);
+    EXPECT_EQ(drive.now(), writes_done + stats.makespan);
+    EXPECT_EQ(stats.mwsCommands, stats.resultPages);
+
+    const ssd::EnergyMeter &meter = drive.engine().energy();
+    EXPECT_GT(meter.get(ssd::EnergyComponent::NandMws), 0.0);
+    EXPECT_GT(meter.get(ssd::EnergyComponent::NandProgram),
+              meter.get(ssd::EnergyComponent::NandMws));
 }
 
 } // namespace

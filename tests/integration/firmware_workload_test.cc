@@ -2,84 +2,80 @@
  * @file
  * Firmware-level workload integration: a miniature BMI query through
  * the full stack (fc_write with placement -> planner -> MWS chains on
- * the dies -> timed result delivery), checking functional results and
- * timing-side invariants against each other.
+ * the dies -> streamed result), checking functional results and the
+ * drive's timeline and energy ledger against each other.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/firmware.h"
+#include "core/drive.h"
 #include "util/rng.h"
 
 namespace fcos {
 namespace {
 
 using core::Expr;
-using core::FcFirmware;
 using core::FlashCosmosDrive;
 
-TEST(FirmwareWorkloadTest, MiniBitmapIndexEndToEnd)
+TEST(FirmwareWorkloadTest, MiniBitmapIndexOnTheDriveTimeline)
 {
-    FlashCosmosDrive::Config drive_cfg;
-    drive_cfg.dies = 4;
-    drive_cfg.geometry.blocksPerPlane = 64;
-    FlashCosmosDrive drive(drive_cfg);
-    FcFirmware fw(drive, ssd::SsdConfig::table1());
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 4;
+    cfg.geometry.blocksPerPlane = 64;
+    FlashCosmosDrive drive(cfg);
 
     Rng rng = Rng::seeded(88);
     const std::size_t users = 4000;
     const int days = 16;
-
     FlashCosmosDrive::WriteOptions group;
     group.group = 1;
 
     std::vector<BitVector> activity;
     std::vector<Expr> leaves;
-    Time writes_done = 0;
     for (int d = 0; d < days; ++d) {
         BitVector day(users);
         day.randomize(rng, 0.95);
-        auto w = fw.fcWrite(day, group);
-        leaves.push_back(Expr::leaf(w.id));
+        const Time before = drive.now();
+        leaves.push_back(Expr::leaf(drive.fcWrite(day, group)));
         activity.push_back(std::move(day));
-        EXPECT_GE(w.completedAt, writes_done); // time moves forward
-        writes_done = w.completedAt;
+        EXPECT_GT(drive.now(), before); // every write takes time
     }
+    const Time writes_done = drive.now();
+    Time write_channel = 0;
+    for (std::uint32_t ch = 0; ch < cfg.channels; ++ch)
+        write_channel += drive.engine().channelBusyTime(ch);
 
-    auto r = fw.fcRead(Expr::And(leaves));
-
-    // Functional correctness.
+    FlashCosmosDrive::ReadStats stats;
+    BitVector result = drive.fcRead(Expr::And(leaves), &stats);
     BitVector expected = activity[0];
     for (int d = 1; d < days; ++d)
         expected &= activity[d];
-    EXPECT_EQ(r.data, expected);
+    EXPECT_EQ(result, expected);
 
-    // Timing-side invariants: the query completes after the writes,
-    // the command count matches the placement (16 operands over
-    // 8-wordline strings = 2 MWS per page), and energy was booked for
-    // programs and MWS separately.
-    EXPECT_GT(r.completedAt, writes_done);
-    EXPECT_EQ(r.stats.mwsCommands, 2 * r.stats.resultPages);
-    const auto &meter = fw.sim().energy();
+    // The query completes after the writes; 16 operands over
+    // 8-wordline strings is 2 MWS per page; programs and MWS are
+    // booked separately.
+    EXPECT_GT(drive.now(), writes_done);
+    EXPECT_EQ(stats.mwsCommands, 2 * stats.resultPages);
+    const ssd::EnergyMeter &meter = drive.engine().energy();
+    EXPECT_GT(meter.get(ssd::EnergyComponent::NandMws), 0.0);
     EXPECT_GT(meter.get(ssd::EnergyComponent::NandProgram),
               meter.get(ssd::EnergyComponent::NandMws));
-    EXPECT_GT(meter.get(ssd::EnergyComponent::ExternalLink), 0.0);
 
-    // The result transfer out is far smaller than the operand data
-    // shipped in: the in-flash processing value proposition.
-    std::uint64_t operand_bytes =
-        static_cast<std::uint64_t>(days) * ((users + 7) / 8);
-    std::uint64_t result_bytes = (users + 7) / 8;
-    EXPECT_LT(result_bytes * 8, operand_bytes);
+    // Only the result crosses the channel: far less bus time than
+    // shipping the operands in did.
+    Time total_channel = 0;
+    for (std::uint32_t ch = 0; ch < cfg.channels; ++ch)
+        total_channel += drive.engine().channelBusyTime(ch);
+    EXPECT_LT((total_channel - write_channel) * 8, write_channel);
 }
 
 TEST(FirmwareWorkloadTest, RepeatedQueriesReuseStoredOperands)
 {
-    FlashCosmosDrive::Config drive_cfg;
-    drive_cfg.dies = 2;
-    drive_cfg.geometry.blocksPerPlane = 32;
-    FlashCosmosDrive drive(drive_cfg);
-    FcFirmware fw(drive, ssd::SsdConfig::table1());
+    FlashCosmosDrive::Config cfg;
+    cfg.dies = 2;
+    cfg.geometry.blocksPerPlane = 32;
+    FlashCosmosDrive drive(cfg);
 
     Rng rng = Rng::seeded(89);
     FlashCosmosDrive::WriteOptions group;
@@ -88,22 +84,22 @@ TEST(FirmwareWorkloadTest, RepeatedQueriesReuseStoredOperands)
     a.randomize(rng);
     b.randomize(rng);
     c.randomize(rng);
-    auto wa = fw.fcWrite(a, group);
-    auto wb = fw.fcWrite(b, group);
-    auto wc = fw.fcWrite(c, group);
+    Expr ea = Expr::leaf(drive.fcWrite(a, group));
+    Expr eb = Expr::leaf(drive.fcWrite(b, group));
+    Expr ec = Expr::leaf(drive.fcWrite(c, group));
 
-    // Compute-many: different queries over the same stored vectors.
-    auto r1 = fw.fcRead(Expr::And({Expr::leaf(wa.id), Expr::leaf(wb.id)}));
-    auto r2 = fw.fcRead(Expr::And(
-        {Expr::leaf(wa.id), Expr::leaf(wb.id), Expr::leaf(wc.id)}));
-    auto r3 = fw.fcRead(
-        Expr::Nand({Expr::leaf(wb.id), Expr::leaf(wc.id)}));
-
-    EXPECT_EQ(r1.data, a & b);
-    EXPECT_EQ(r2.data, a & b & c);
-    EXPECT_EQ(r3.data, ~(b & c));
-    EXPECT_GT(r3.completedAt, r2.completedAt);
-    EXPECT_GT(r2.completedAt, r1.completedAt);
+    // Compute-many: different queries over the same stored vectors,
+    // each completing after the one before it.
+    const Time t0 = drive.now();
+    EXPECT_EQ(drive.fcRead(Expr::And({ea, eb})), a & b);
+    const Time t1 = drive.now();
+    EXPECT_EQ(drive.fcRead(Expr::And({ea, eb, ec})), a & b & c);
+    const Time t2 = drive.now();
+    EXPECT_EQ(drive.fcRead(Expr::Nand({eb, ec})), ~(b & c));
+    const Time t3 = drive.now();
+    EXPECT_GT(t1, t0);
+    EXPECT_GT(t2, t1);
+    EXPECT_GT(t3, t2);
 }
 
 } // namespace
