@@ -3,7 +3,7 @@
  * Shared helpers for the figure/table regeneration benches.
  *
  * Every bench prints (i) the paper's quoted anchor values and (ii) the
- * values this reproduction measures, so EXPERIMENTS.md rows can be
+ * values this reproduction measures, so each paper number can be
  * checked straight from bench output.
  */
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Section 8.3 — sequential write bandwidth by programming mode,
- * measured on the SSD timing simulator (data-in over the channels,
- * programming on the planes, one page per program operation).
+ * measured on the compute engine's timeline (host -> SSD over the
+ * external link, data-in over the channel, programming on the planes,
+ * one page per program operation).
  *
  * Paper anchors: regular SLC / MLC / TLC = 6.4 / 3.87 / 2.82 GB/s and
  * ESP = 4.7 GB/s — i.e. ESP costs write bandwidth vs regular SLC but
@@ -11,10 +12,9 @@
  */
 
 #include "bench/bench_util.h"
-#include "host/host_model.h"
+#include "engine/engine.h"
 #include "nand/power_model.h"
-#include "platforms/runner.h"
-#include "ssd/ssd_sim.h"
+#include "ssd/config.h"
 
 using namespace fcos;
 
@@ -30,9 +30,11 @@ measure(nand::ProgramMode mode, std::uint64_t total_bytes)
     chan.channels = 1;
     chan.io.externalGBps = cfg.io.externalGBps / cfg.channels;
 
-    ssd::SsdSim sim(chan);
+    engine::ComputeEngine eng(engine::FarmConfig::fromSsd(chan));
+    engine::CommandScheduler &sched = eng.scheduler();
     const std::uint64_t page = cfg.geometry.pageBytes;
     const std::uint32_t planes = chan.totalPlanes();
+    const std::uint32_t ppd = chan.geometry.planesPerDie;
     Time t_prog = cfg.timings.programLatency(mode);
     double e_prog = nand::PowerModel::energy(
         nand::PowerModel::kProgramPower, t_prog);
@@ -40,18 +42,22 @@ measure(nand::ProgramMode mode, std::uint64_t total_bytes)
     std::uint64_t pages =
         total_bytes / cfg.channels / page; // this channel's share
     for (std::uint64_t i = 0; i < pages; ++i) {
-        std::uint32_t p = static_cast<std::uint32_t>(i % planes);
+        const std::uint32_t p = static_cast<std::uint32_t>(i % planes);
+        const std::uint32_t die = p / ppd;
+        const std::uint32_t plane = p % ppd;
+        auto program = [t_prog, e_prog](nand::NandChip &) {
+            return nand::OpResult{t_prog, e_prog};
+        };
         // Host -> SSD -> die data-in, then the program pulse.
-        sim.externalTransfer(page, [&sim, p, page, t_prog, e_prog] {
-            sim.dmaToDie(p, page, [&sim, p, t_prog, e_prog] {
-                sim.planeOp(p, t_prog, e_prog,
-                            ssd::EnergyComponent::NandProgram, [&sim] {
-                                sim.noteCompletion(sim.queue().now());
-                            });
+        sched.submitExternal(page, [&sched, die, plane, page, program] {
+            sched.submitDma(die, page, [&sched, die, plane, program] {
+                sched.submitPlaneOp(die, plane,
+                                    ssd::EnergyComponent::NandProgram,
+                                    program);
             });
         });
     }
-    Time makespan = sim.drain();
+    Time makespan = eng.drain();
     return static_cast<double>(pages * page * cfg.channels) /
            static_cast<double>(makespan); // bytes/ns == GB/s
 }
@@ -113,6 +119,6 @@ main(int argc, char **argv)
                       : "MISMATCH");
     std::printf("\nNote: absolute SLC bandwidth is limited here by the "
                 "modelled external link;\nthe paper's testbed includes "
-                "additional per-program overheads (EXPERIMENTS.md).\n");
+                "additional per-program overheads.\n");
     return 0;
 }

@@ -1,11 +1,11 @@
 #include "core/traffic.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -152,39 +152,6 @@ runMixedTraffic(const TrafficConfig &cfg)
 
 namespace {
 
-/** Log2-bucket latency histogram: O(1) memory for any request count,
- *  quantiles reported as bucket lower bounds (deterministic). */
-struct LatencyBuckets
-{
-    std::uint64_t counts[65] = {};
-    std::uint64_t total = 0;
-
-    void record(Time lat)
-    {
-        ++counts[std::bit_width(static_cast<std::uint64_t>(lat))];
-        ++total;
-    }
-
-    Time quantile(std::uint64_t pct) const
-    {
-        if (total == 0)
-            return 0;
-        const std::uint64_t rank = (total - 1) * pct / 100;
-        std::uint64_t cum = 0;
-        for (int b = 0; b <= 64; ++b) {
-            cum += counts[b];
-            if (cum > rank)
-                return b == 0 ? 0 : Time{1} << (b - 1);
-        }
-        return 0;
-    }
-
-    ClassLatency summary() const
-    {
-        return ClassLatency{total, quantile(50), quantile(99)};
-    }
-};
-
 /** Request class of closed-loop op @p n (6:3:1 read:write:compute). */
 std::size_t
 classOfOp(std::uint64_t n)
@@ -298,7 +265,7 @@ runClosedLoopTraffic(const ClosedLoopConfig &cfg)
         VectorId scratch = kDriveNoVector;
     };
     std::vector<Chain> chains(inflight);
-    LatencyBuckets lats[3];
+    obs::Histogram lats[3];
     std::uint64_t completed = 0;
     std::uint64_t write_counter = 2000; // page-image stream, post-setup
     // Residents are rewritten in a sequential sweep, not hashed: the
@@ -402,7 +369,9 @@ runClosedLoopTraffic(const ClosedLoopConfig &cfg)
     ClosedLoopPoint p;
     p.completed = completed;
     for (int c = 0; c < 3; ++c)
-        p.byClass[c] = lats[c].summary();
+        p.byClass[c] = ClassLatency{lats[c].count(),
+                                    lats[c].quantile(0.50),
+                                    lats[c].quantile(0.99)};
     p.makespan = drive.now() - t0;
     p.energyJ = drive.engine().totalEnergyJ();
     std::uint64_t d = kFnvOffset;

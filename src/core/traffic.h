@@ -112,8 +112,10 @@ struct ClosedLoopConfig
 struct ClosedLoopPoint
 {
     std::uint64_t completed = 0;
-    /** Per-class end-to-end latency (log2-bucket approximation, so
-     *  recording a million requests stays O(1) memory). */
+    /** Per-class end-to-end latency from an obs::Histogram (log2
+     *  buckets, so recording a million requests stays O(1) memory;
+     *  quantiles are bucket upper bounds clamped to the observed
+     *  max). */
     ClassLatency byClass[3];
     Time makespan = 0;
     double energyJ = 0.0;

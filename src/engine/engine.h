@@ -3,17 +3,14 @@
  * The multi-die compute engine: event-driven, sharded execution of
  * bulk bitwise work over a farm of functional NAND dies.
  *
- * This is the layer that unifies the repository's two previously
- * disjoint halves. The *functional* path (core/drive + nand/chip)
- * computed bit-exact results but executed every command serially with
- * no notion of time; the *timing* path (ssd/ssd_sim) modelled channel
- * and plane contention but moved no data. The engine executes real
- * commands against real chips **through** the deterministic Facility
- * model, so a single run yields bit-exact result vectors *and* a
- * contention-accurate timeline and energy ledger. The platform
- * drivers (platforms/runner) run the paper's Figure 7/17/18 workloads
- * over the same scheduler, making the engine the single source of
- * truth for functional results, timing, and energy.
+ * The engine executes real commands against real chips (core/drive +
+ * nand/chip) **through** the deterministic Facility model of plane,
+ * channel and external-link contention, so a single run yields
+ * bit-exact result vectors *and* a contention-accurate timeline and
+ * energy ledger. The platform drivers (platforms/runner) run the
+ * paper's Figure 7/17/18 workloads over the same scheduler, so the
+ * engine is the single source of truth for functional results,
+ * timing, and energy.
  *
  * Async API: callers submit() column programs (or whole ShardedOps)
  * and drain(); completion callbacks deliver result pages at their

@@ -7,7 +7,8 @@
  * The functional model streams pages from the dies and folds them into
  * an SRAM-resident accumulator; only the final result leaves the SSD.
  * Its timing/energy behaviour in the system evaluation is modelled by
- * SsdSim::accelCompute (channel-rate streaming, 93 pJ per 64-B op).
+ * engine::CommandScheduler::submitAccel (channel-rate streaming,
+ * 93 pJ per 64-B op).
  */
 
 #ifndef FCOS_ISP_ACCELERATOR_H

@@ -103,8 +103,7 @@ TablePrinter
 fig07TimelineTable(const PlatformRunner &runner)
 {
     const wl::Workload w = figure7Workload();
-    TablePrinter t("Per-channel execution timeline (" +
-                   std::string(runnerModeName(runner.mode())) + " path)");
+    TablePrinter t("Per-channel execution timeline (engine path)");
     t.setHeader({"platform", "exec time", "paper", "plane busy",
                  "channel busy", "external busy", "bottleneck"});
 

@@ -9,7 +9,6 @@
 #include "engine/engine.h"
 #include "engine/result_stream.h"
 #include "nand/power_model.h"
-#include "ssd/ssd_sim.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -27,18 +26,6 @@ platformName(PlatformKind k)
         return "PB";
       case PlatformKind::FlashCosmos:
         return "FC";
-    }
-    return "?";
-}
-
-const char *
-runnerModeName(RunnerMode m)
-{
-    switch (m) {
-      case RunnerMode::Engine:
-        return "engine";
-      case RunnerMode::Analytic:
-        return "analytic";
     }
     return "?";
 }
@@ -82,88 +69,51 @@ pageReadEnergy(const ssd::SsdConfig &cfg)
                                     cfg.timings.tReadSlc);
 }
 
-/** Legacy analytic path: facilities of the SSD timing simulator. */
-struct AnalyticBackend
+/**
+ * The platform op graph on the engine's scheduler: chunked sense ->
+ * DMA -> external -> host pipelines, one per platform. The makespan
+ * is the last event's time, so no callback records completion.
+ */
+std::uint64_t
+driveWorkload(PlatformKind kind, const wl::Workload &workload,
+              const ssd::SsdConfig &cfg, const ssd::SsdConfig &chan_cfg,
+              engine::CommandScheduler &sched, host::HostModel &host)
 {
-    ssd::SsdSim &sim;
-
-    void planeOp(std::uint32_t p, Time dur, double joules,
-                 ssd::EnergyComponent comp, std::function<void()> done)
-    {
-        sim.planeOp(p, dur, joules, comp, std::move(done));
-    }
-    void dmaFromDie(std::uint32_t p, std::uint64_t bytes,
-                    std::function<void()> done)
-    {
-        sim.dmaFromDie(p, bytes, std::move(done));
-    }
-    void external(std::uint64_t bytes, std::function<void()> done)
-    {
-        sim.externalTransfer(bytes, std::move(done));
-    }
-    void accel(std::uint64_t bytes, std::function<void()> done)
-    {
-        sim.accelCompute(0, bytes, std::move(done));
-    }
-    void finish() { sim.noteCompletion(sim.queue().now()); }
-};
-
-/** Unified path: the compute engine's scheduler runs the workload. */
-struct EngineBackend
-{
-    engine::CommandScheduler &sched;
-    std::uint32_t planesPerDie;
-
-    void planeOp(std::uint32_t p, Time dur, double joules,
-                 ssd::EnergyComponent comp, std::function<void()> done)
-    {
+    const std::uint64_t page_bytes = cfg.geometry.pageBytes;
+    const std::uint32_t planes = chan_cfg.totalPlanes();
+    const std::uint32_t ppd = chan_cfg.geometry.planesPerDie;
+    const Time t_read = cfg.timings.tReadSlc;
+    const Time t_mws = cfg.timings.tMwsFixed;
+    const double e_read = pageReadEnergy(cfg);
+    // Occupy plane column p of the channel slice for dur, booking
+    // joules against comp.
+    auto planeOp = [&sched, ppd](std::uint32_t p, Time dur, double joules,
+                                 ssd::EnergyComponent comp, auto done) {
         sched.submitPlaneOp(
-            p / planesPerDie, p % planesPerDie, comp,
+            p / ppd, p % ppd, comp,
             [dur, joules](nand::NandChip &) {
                 return nand::OpResult{dur, joules};
             },
             std::move(done));
-    }
-    void dmaFromDie(std::uint32_t p, std::uint64_t bytes,
-                    std::function<void()> done)
-    {
-        sched.submitDma(p / planesPerDie, bytes, std::move(done));
-    }
-    void external(std::uint64_t bytes, std::function<void()> done)
-    {
-        sched.submitExternal(bytes, std::move(done));
-    }
-    void accel(std::uint64_t bytes, std::function<void()> done)
-    {
-        sched.submitAccel(0, bytes, std::move(done));
-    }
-    void finish() {} // drain() already tracks the last completion
-};
-
-/**
- * The platform op graph, independent of the execution backend: the
- * same chunked sense -> DMA -> external -> host pipelines are driven
- * over either facility set, so engine and analytic timelines come
- * from one description of each platform.
- */
-template <typename Backend>
-std::uint64_t
-driveWorkload(PlatformKind kind, const wl::Workload &workload,
-              const ssd::SsdConfig &cfg, const ssd::SsdConfig &chan_cfg,
-              Backend &backend, host::HostModel &host)
-{
-    const std::uint64_t page_bytes = cfg.geometry.pageBytes;
-    const std::uint32_t planes = chan_cfg.totalPlanes();
-    const Time t_read = cfg.timings.tReadSlc;
-    const Time t_mws = cfg.timings.tMwsFixed;
-    const double e_read = pageReadEnergy(cfg);
+    };
 
     std::uint64_t sense_ops = 0;
-    auto finish = [&backend]() { backend.finish(); };
 
     for (const wl::OpBatch &batch : workload.batches) {
         ChunkShape shape = shapeFor(batch.operandBytes, cfg);
         std::uint64_t operands = batch.totalOperands();
+        const bool to_host = batch.resultToHost;
+        const bool post = batch.hostPostProcess;
+        // The result page's trip out: external link, then a host fold
+        // or a plain landing in host DRAM.
+        auto toHost = [&sched, &host, post](std::uint64_t bytes) {
+            sched.submitExternal(bytes, [&host, bytes, post] {
+                if (post)
+                    host.computeChunk(bytes);
+                else
+                    host.receive(bytes);
+            });
+        };
 
         switch (kind) {
           case PlatformKind::Osp: {
@@ -175,21 +125,18 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
                     std::uint64_t bytes = rows * page_bytes;
                     for (std::uint32_t p = 0; p < planes; ++p) {
                         sense_ops += rows;
-                        backend.planeOp(
-                            p, rows * t_read, rows * e_read,
-                            ssd::EnergyComponent::NandRead,
-                            [&backend, &host, finish, p, bytes] {
-                                backend.dmaFromDie(
-                                    p, bytes,
-                                    [&backend, &host, finish, bytes] {
-                                        backend.external(
-                                            bytes,
-                                            [&host, finish, bytes] {
-                                                host.compute(bytes,
-                                                             finish);
+                        planeOp(p, rows * t_read, rows * e_read,
+                                ssd::EnergyComponent::NandRead,
+                                [&sched, &host, die = p / ppd, bytes] {
+                                    sched.submitDma(die, bytes, [&sched,
+                                                                 &host,
+                                                                 bytes] {
+                                        sched.submitExternal(
+                                            bytes, [&host, bytes] {
+                                                host.computeChunk(bytes);
                                             });
                                     });
-                            });
+                                });
                     }
                 }
             }
@@ -199,50 +146,25 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
             // sense -> DMA -> accelerator; the last operand's tiles
             // carry the finished result out through the external link.
             for (std::uint64_t op = 0; op < operands; ++op) {
-                bool last = (op + 1 == operands);
+                const bool out = to_host && op + 1 == operands;
                 for (std::uint64_t c = 0; c < shape.chunks; ++c) {
                     std::uint64_t rows = shape.rowsOf(c);
                     std::uint64_t bytes = rows * page_bytes;
                     for (std::uint32_t p = 0; p < planes; ++p) {
                         sense_ops += rows;
-                        bool to_host = last && batch.resultToHost;
-                        bool post = batch.hostPostProcess;
-                        backend.planeOp(
-                            p, rows * t_read, rows * e_read,
-                            ssd::EnergyComponent::NandRead,
-                            [&backend, &host, finish, p, bytes, to_host,
-                             post] {
-                                backend.dmaFromDie(p, bytes, [&backend,
-                                                              &host,
-                                                              finish,
-                                                              bytes,
-                                                              to_host,
-                                                              post] {
-                                    backend.accel(
-                                        bytes,
-                                        [&backend, &host, finish, bytes,
-                                         to_host, post] {
-                                            if (!to_host) {
-                                                finish();
-                                                return;
-                                            }
-                                            backend.external(
-                                                bytes,
-                                                [&host, finish, bytes,
-                                                 post] {
-                                                    if (post) {
-                                                        host.compute(
-                                                            bytes,
-                                                            finish);
-                                                    } else {
-                                                        host.receive(
-                                                            bytes);
-                                                        finish();
-                                                    }
-                                                });
-                                        });
+                        planeOp(p, rows * t_read, rows * e_read,
+                                ssd::EnergyComponent::NandRead,
+                                [&sched, toHost, die = p / ppd, bytes, out] {
+                                    sched.submitDma(die, bytes, [&sched,
+                                                                 toHost,
+                                                                 bytes, out] {
+                                        sched.submitAccel(
+                                            0, bytes, [toHost, bytes, out] {
+                                                if (out)
+                                                    toHost(bytes);
+                                            });
+                                    });
                                 });
-                            });
                     }
                 }
             }
@@ -281,37 +203,19 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
                 std::uint64_t bytes = rows * page_bytes;
                 for (std::uint32_t p = 0; p < planes; ++p) {
                     sense_ops += rows * senses_per_row;
-                    bool to_host = batch.resultToHost;
-                    bool post = batch.hostPostProcess;
-                    backend.planeOp(
-                        p, rows * senses_per_row * t_sense,
-                        static_cast<double>(rows * senses_per_row) *
-                            e_sense,
-                        kind == PlatformKind::ParaBit
-                            ? ssd::EnergyComponent::NandRead
-                            : ssd::EnergyComponent::NandMws,
-                        [&backend, &host, finish, p, bytes, to_host,
-                         post] {
-                            if (!to_host) {
-                                finish();
-                                return;
-                            }
-                            backend.dmaFromDie(
-                                p, bytes,
-                                [&backend, &host, finish, bytes, post] {
-                                    backend.external(
-                                        bytes,
-                                        [&host, finish, bytes, post] {
-                                            if (post) {
-                                                host.compute(bytes,
-                                                             finish);
-                                            } else {
-                                                host.receive(bytes);
-                                                finish();
-                                            }
-                                        });
-                                });
-                        });
+                    planeOp(p, rows * senses_per_row * t_sense,
+                            static_cast<double>(rows * senses_per_row) *
+                                e_sense,
+                            kind == PlatformKind::ParaBit
+                                ? ssd::EnergyComponent::NandRead
+                                : ssd::EnergyComponent::NandMws,
+                            [&sched, toHost, die = p / ppd, bytes,
+                             to_host] {
+                                if (to_host)
+                                    sched.submitDma(
+                                        die, bytes,
+                                        [toHost, bytes] { toHost(bytes); });
+                            });
                 }
             }
             break;
@@ -399,33 +303,17 @@ finalizeResult(const ssd::SsdConfig &cfg, Time makespan,
 } // namespace
 
 RunResult
-PlatformRunner::run(PlatformKind kind, const wl::Workload &workload,
-                    RunnerMode mode) const
+PlatformRunner::run(PlatformKind kind, const wl::Workload &workload) const
 {
     ssd::SsdConfig chan_cfg = channelSlice(cfg_);
     host::HostConfig host_cfg = host_cfg_;
     host_cfg.streamGBps = host_cfg_.streamGBps / cfg_.channels;
 
-    if (mode == RunnerMode::Analytic) {
-        ssd::SsdSim sim(chan_cfg);
-        host::HostModel host(sim.queue(), sim.energy(), host_cfg);
-        AnalyticBackend backend{sim};
-        std::uint64_t sense_ops =
-            driveWorkload(kind, workload, cfg_, chan_cfg, backend, host);
-        Time makespan = sim.drain();
-        return finalizeResult(cfg_, makespan, sense_ops,
-                              sim.maxPlaneBusyTime(),
-                              sim.channelBusyTime(0),
-                              sim.externalBusyTime(), host.busyTime(),
-                              sim.energy());
-    }
-
     engine::ComputeEngine eng(engine::FarmConfig::fromSsd(chan_cfg));
     engine::CommandScheduler &sched = eng.scheduler();
     host::HostModel host(sched.queue(), sched.energy(), host_cfg);
-    EngineBackend backend{sched, chan_cfg.geometry.planesPerDie};
     std::uint64_t sense_ops =
-        driveWorkload(kind, workload, cfg_, chan_cfg, backend, host);
+        driveWorkload(kind, workload, cfg_, chan_cfg, sched, host);
     Time makespan = eng.drain();
     return finalizeResult(cfg_, makespan, sense_ops,
                           sched.maxPlaneBusyTime(),
@@ -605,14 +493,14 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                     plan.toString().c_str());
         fcos_assert(!plan.finalInvert,
                     "functional batches never need a final NOT");
-        // Certify the analytic sense-count model: the planner must
+        // Certify the timing driver's sense count: the planner must
         // execute the batch in exactly the commands the timing-only
         // driver charges for.
         fcos_assert(plan.senseCount() ==
                         fcSensesPerRow(k, m, cfg_.maxIntraMwsWordlines(),
                                        cfg_.maxInterBlockMws),
-                    "planner (%zu cmds) disagrees with the analytic "
-                    "sense count",
+                    "planner (%zu cmds) disagrees with the timing "
+                    "driver's sense count",
                     plan.senseCount());
 
         for (std::uint32_t col = 0; col < columns; ++col) {

@@ -19,14 +19,11 @@
  *    operands per tMWS, with latch accumulation across commands
  *    (Section 6.1); only result pages leave the dies.
  *
- * Execution modes: by default the runner builds a chip farm from the
- * SSD configuration and executes the workload through
- * engine::ComputeEngine's scheduler — the same per-plane facilities,
- * channel buses, external link and energy ledger the functional drive
- * uses, so every paper figure comes off the engine's timeline. The
- * legacy analytic model over ssd/ssd_sim is retained behind
- * RunnerMode::Analytic for cross-validation (see
- * tests/platforms/parity_test.cc).
+ * The runner builds a chip farm from the SSD configuration and drives
+ * the workload through engine::ComputeEngine's scheduler — the same
+ * per-plane facilities, channel buses, external link and energy
+ * ledger the functional drive uses, so every paper figure comes off
+ * the engine's timeline.
  *
  * Channel symmetry: workloads stripe uniformly, so one channel is
  * simulated and shared resources (external link, host stream rate)
@@ -60,15 +57,6 @@ enum class PlatformKind : std::uint8_t
 
 const char *platformName(PlatformKind k);
 
-/** Which execution path produces the timeline. */
-enum class RunnerMode : std::uint8_t
-{
-    Engine,   ///< engine::ComputeEngine scheduler (the default)
-    Analytic, ///< legacy analytic model over ssd/ssd_sim
-};
-
-const char *runnerModeName(RunnerMode m);
-
 struct RunResult
 {
     Time makespan = 0;
@@ -93,23 +81,14 @@ class PlatformRunner
   public:
     explicit PlatformRunner(
         const ssd::SsdConfig &cfg = ssd::SsdConfig::table1(),
-        const host::HostConfig &host_cfg = host::HostConfig{},
-        RunnerMode mode = RunnerMode::Engine)
-        : cfg_(cfg), host_cfg_(host_cfg), mode_(mode)
+        const host::HostConfig &host_cfg = host::HostConfig{})
+        : cfg_(cfg), host_cfg_(host_cfg)
     {}
 
     const ssd::SsdConfig &config() const { return cfg_; }
-    RunnerMode mode() const { return mode_; }
 
-    /** Execute @p workload on platform @p kind in the runner's mode. */
-    RunResult run(PlatformKind kind, const wl::Workload &workload) const
-    {
-        return run(kind, workload, mode_);
-    }
-
-    /** Execute with an explicit mode (cross-validation). */
-    RunResult run(PlatformKind kind, const wl::Workload &workload,
-                  RunnerMode mode) const;
+    /** Execute @p workload on platform @p kind. */
+    RunResult run(PlatformKind kind, const wl::Workload &workload) const;
 
     /** A functional Flash-Cosmos execution: timing plus real bits. */
     struct FunctionalRun
@@ -151,8 +130,8 @@ class PlatformRunner
      *    as extra strings (the KCS fusion); wider mixed batches split
      *    the OR operands into follow-up OR-merge commands.
      * The planner's command count is asserted equal to
-     * fcSensesPerRow() per row, so the analytic model is certified,
-     * not just approximated.
+     * fcSensesPerRow() per row, so the timing driver's sense count is
+     * certified, not just approximated.
      */
     RunResult runFcStreamed(const wl::Workload &workload,
                             std::uint64_t seed, core::ResultSink &sink,
@@ -193,7 +172,6 @@ class PlatformRunner
   private:
     ssd::SsdConfig cfg_;
     host::HostConfig host_cfg_;
-    RunnerMode mode_;
 };
 
 } // namespace fcos::plat

@@ -3,10 +3,9 @@
  * SSD configuration (paper Table 1 and the Figure 7 example).
  *
  * IoParams is the single authority for every I/O rate and energy
- * constant shared by the two execution paths: the analytic SSD timing
- * simulator (ssd/ssd_sim) and the multi-die compute engine
- * (engine/scheduler). Both read the same struct, so the paths cannot
- * drift apart parameter-by-parameter.
+ * constant: the compute engine's scheduler (engine/scheduler) books
+ * channel, external-link and accelerator time and energy from it, and
+ * the Table 1 report prints it.
  */
 
 #ifndef FCOS_SSD_CONFIG_H

@@ -61,8 +61,8 @@ class Rng
 
     /**
      * Poisson sample. Used to draw per-wordline raw bit-error *counts*
-     * from an analytic error rate without materializing individual cells
-     * (see DESIGN.md "Scale strategy").
+     * from an analytic error rate without materializing individual
+     * cells.
      */
     std::uint64_t poisson(double mean)
     {

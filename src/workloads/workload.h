@@ -8,8 +8,8 @@
  * of operation batches; each batch combines `andOperands` bit vectors
  * with AND and then ORs in `orOperands` more (the KCS star-formation
  * step). Operand payloads are not materialized at this level — the
- * functional path is exercised by the examples and integration tests
- * at smaller scale (see DESIGN.md "Scale strategy").
+ * functional path runs them as procedural page descriptors (README
+ * "Page-store backends and the Table-1 scale tier").
  */
 
 #ifndef FCOS_WORKLOADS_WORKLOAD_H

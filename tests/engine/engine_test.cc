@@ -124,6 +124,93 @@ TEST(SchedulerTest, SharedChannelSerializesDma)
     EXPECT_EQ(sched.channelBusyTime(0), 2 * dma);
 }
 
+TEST(SchedulerTest, DmaOnAnotherChannelDoesNotWait)
+{
+    // Dies 0 and 1 share channel 0; die 2 sits on channel 1.
+    ChipFarm farm(smallFarm(2, 2));
+    CommandScheduler sched(farm);
+    const std::uint64_t page = 16 * 1024;
+    const Time dma = transferTime(page, farm.config().io.channelGBps);
+    Time t1 = 0, t2 = 0, t3 = 0;
+    sched.submitDma(0, page, [&] { t1 = sched.queue().now(); });
+    sched.submitDma(1, page, [&] { t2 = sched.queue().now(); });
+    sched.submitDma(2, page, [&] { t3 = sched.queue().now(); });
+    EXPECT_EQ(sched.drain(), 2 * dma);
+    EXPECT_EQ(t1, dma);
+    EXPECT_EQ(t2, 2 * dma);
+    EXPECT_EQ(t3, dma);
+}
+
+TEST(SchedulerTest, ExternalLinkSerializesTransfers)
+{
+    ChipFarm farm(smallFarm(2, 1));
+    CommandScheduler sched(farm);
+    Time t1 = 0, t2 = 0;
+    sched.submitExternal(8000, [&] { t1 = sched.queue().now(); });
+    sched.submitExternal(8000, [&] { t2 = sched.queue().now(); });
+    sched.drain();
+    EXPECT_EQ(t1, 1000u); // 8000 B at 8 GB/s = 1 us
+    EXPECT_EQ(t2, 2000u);
+    EXPECT_EQ(sched.externalBusyTime(), 2000u);
+}
+
+TEST(SchedulerTest, EnergyIsBookedPerComponent)
+{
+    ChipFarm farm(smallFarm(1, 1));
+    CommandScheduler sched(farm);
+    sched.submitPlaneOp(0, 0, ssd::EnergyComponent::NandMws,
+                        [](nand::NandChip &) {
+                            return nand::OpResult{100, 1.5e-6};
+                        });
+    sched.submitDma(0, 16 * 1024);
+    sched.submitExternal(16 * 1024);
+    sched.drain();
+    const ssd::EnergyMeter &e = sched.energy();
+    EXPECT_DOUBLE_EQ(e.get(ssd::EnergyComponent::NandMws), 1.5e-6);
+    // 16 KiB * 8 bits * 2 pJ = 0.262 uJ on the channel.
+    EXPECT_NEAR(e.get(ssd::EnergyComponent::ChannelDma), 2.62e-7, 1e-9);
+    // 16 KiB * 8 bits * 10 pJ = 1.31 uJ on the external link.
+    EXPECT_NEAR(e.get(ssd::EnergyComponent::ExternalLink), 1.31e-6, 5e-9);
+}
+
+TEST(SchedulerTest, AccelPortsRunPerChannel)
+{
+    ChipFarm farm(smallFarm(2, 1));
+    CommandScheduler sched(farm);
+    Time t1 = 0, t2 = 0;
+    sched.submitAccel(0, 16 * 1024, [&] { t1 = sched.queue().now(); });
+    sched.submitAccel(1, 16 * 1024, [&] { t2 = sched.queue().now(); });
+    sched.drain();
+    EXPECT_GT(t1, 0u);
+    EXPECT_EQ(t1, t2); // separate channels, parallel ports
+    EXPECT_GT(sched.energy().get(ssd::EnergyComponent::IspAccel), 0.0);
+}
+
+TEST(SchedulerTest, SenseReadoutPipelineOverlaps)
+{
+    // Cache-read pipelining (Section 3.1): the next sense starts while
+    // the previous page crosses the channel, so only the last readout
+    // adds to the three serialized senses.
+    ChipFarm farm(smallFarm(1, 1));
+    CommandScheduler sched(farm);
+    const Time t_r = farm.config().timings.tReadSlc;
+    const std::uint64_t page = 16 * 1024;
+    const Time dma = transferTime(page, farm.config().io.channelGBps);
+    ASSERT_LT(dma, t_r);
+    Time last_dma_done = 0;
+    for (int i = 0; i < 3; ++i)
+        sched.submitPlaneOp(
+            0, 0, ssd::EnergyComponent::NandRead,
+            [t_r](nand::NandChip &) { return nand::OpResult{t_r, 0.0}; },
+            [&] {
+                sched.submitDma(0, page, [&] {
+                    last_dma_done = sched.queue().now();
+                });
+            });
+    sched.drain();
+    EXPECT_EQ(last_dma_done, 3 * t_r + dma);
+}
+
 TEST(ComputeEngineTest, ProgramReadsOutResultPage)
 {
     ComputeEngine eng(smallFarm(1, 2));

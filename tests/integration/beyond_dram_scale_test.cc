@@ -163,9 +163,8 @@ TEST(BeyondDramScaleTest, StreamedFunctionalWorkloadAtTable1Geometry)
               kBudgetBytes);
 
     // The streamed run stays on the timing-only driver's sense count.
-    plat::RunResult analytic =
-        runner.run(plat::PlatformKind::FlashCosmos, w);
-    EXPECT_EQ(timing.senseOps, analytic.senseOps);
+    plat::RunResult driver = runner.run(plat::PlatformKind::FlashCosmos, w);
+    EXPECT_EQ(timing.senseOps, driver.senseOps);
 
     TablePrinter t("Beyond-DRAM streamed functional run (AND3 + m5 mix)");
     t.setHeader({"metric", "value"});

@@ -1,11 +1,12 @@
 /**
  * @file
- * Engine-vs-analytic parity: the platform runner's default engine
- * mode (engine::ComputeEngine scheduler) and the retained analytic
- * mode (ssd/ssd_sim) describe the same platforms over the same
- * parameter authority (ssd::IoParams), so for every platform and
- * workload the two timelines must agree — the stated tolerance is
- * 0.5% on makespan and energy, with sense accounting exactly equal.
+ * Platform timelines on the engine, and functional-vs-timing parity.
+ *
+ * The pinned half: every RunResult field of the four platforms (OSP,
+ * ISP, PB, FC) on the Figure 7 OR3, BMI 3x10 MB and KCS 16/8/8 MB
+ * workloads — makespan, energy, sense count, and the plane, channel,
+ * external and host busy times — is held in one golden, so any drift
+ * in the engine's platform timelines fails here.
  *
  * The functional half: runFcFunctional materializes operand pages on
  * the farm's chips, executes real MWS commands through the engine,
@@ -18,72 +19,48 @@
 
 #include "platforms/reports.h"
 #include "platforms/runner.h"
+#include "tests/support/golden.h"
 
 namespace fcos::plat {
 namespace {
 
-/** Relative |a-b| <= tol. */
+/** One row per platform of @p w on an SSD configured as @p cfg. */
 void
-expectClose(double a, double b, double tol, const char *what)
+addTimelineRows(TablePrinter &t, const std::string &label,
+                const ssd::SsdConfig &cfg, const wl::Workload &w)
 {
-    double denom = std::max(std::abs(a), std::abs(b));
-    if (denom == 0.0)
-        return;
-    EXPECT_LE(std::abs(a - b) / denom, tol) << what << ": " << a
-                                            << " vs " << b;
-}
-
-constexpr double kTol = 0.005; ///< stated parity tolerance (0.5%)
-
-class ModeParityTest : public ::testing::Test
-{
-  protected:
-    void expectParity(const ssd::SsdConfig &cfg, const wl::Workload &w)
-    {
-        PlatformRunner runner(cfg);
-        for (PlatformKind kind :
-             {PlatformKind::Osp, PlatformKind::Isp, PlatformKind::ParaBit,
-              PlatformKind::FlashCosmos}) {
-            RunResult eng = runner.run(kind, w, RunnerMode::Engine);
-            RunResult ana = runner.run(kind, w, RunnerMode::Analytic);
-            SCOPED_TRACE(std::string(platformName(kind)) + " on " +
-                         w.name);
-            expectClose(static_cast<double>(eng.makespan),
-                        static_cast<double>(ana.makespan), kTol,
-                        "makespan");
-            expectClose(eng.energyJ, ana.energyJ, kTol, "energy");
-            EXPECT_EQ(eng.senseOps, ana.senseOps);
-            expectClose(static_cast<double>(eng.planeBusy),
-                        static_cast<double>(ana.planeBusy), kTol,
-                        "plane busy");
-            expectClose(static_cast<double>(eng.channelBusy),
-                        static_cast<double>(ana.channelBusy), kTol,
-                        "channel busy");
-            expectClose(static_cast<double>(eng.externalBusy),
-                        static_cast<double>(ana.externalBusy), kTol,
-                        "external busy");
-            expectClose(static_cast<double>(eng.hostBusy),
-                        static_cast<double>(ana.hostBusy), kTol,
-                        "host busy");
-        }
+    PlatformRunner runner(cfg);
+    for (PlatformKind kind :
+         {PlatformKind::Osp, PlatformKind::Isp, PlatformKind::ParaBit,
+          PlatformKind::FlashCosmos}) {
+        RunResult r = runner.run(kind, w);
+        auto ns = [](Time v) {
+            return TablePrinter::cellInt(static_cast<long long>(v));
+        };
+        t.addRow({label, platformName(kind), ns(r.makespan),
+                  TablePrinter::cellSci(r.energyJ, 9),
+                  TablePrinter::cellInt(
+                      static_cast<long long>(r.senseOps)),
+                  ns(r.planeBusy), ns(r.channelBusy), ns(r.externalBusy),
+                  ns(r.hostBusy)});
     }
-};
-
-TEST_F(ModeParityTest, Figure7WorkloadAgreesAcrossModes)
-{
-    expectParity(ssd::SsdConfig::figure7(), figure7Workload());
 }
 
-TEST_F(ModeParityTest, BmiWorkloadAgreesAcrossModes)
+TEST(PlatformTimelineGoldenTest, EngineTimelinesArePinned)
 {
-    expectParity(ssd::SsdConfig::table1(),
-                 wl::makeBmi(3, 80000000ULL)); // 10-MB vectors
-}
-
-TEST_F(ModeParityTest, KcsWorkloadAgreesAcrossModes)
-{
-    expectParity(ssd::SsdConfig::table1(),
-                 wl::makeKcs(16, 8, 8000000ULL));
+    TablePrinter t("Platform timelines (busy times per channel; energy "
+                   "and senses whole SSD)");
+    t.setHeader({"workload", "platform", "makespan ns", "energy J",
+                 "senses", "plane busy ns", "channel busy ns",
+                 "external busy ns", "host busy ns"});
+    addTimelineRows(t, "Fig7 OR3", ssd::SsdConfig::figure7(),
+                    figure7Workload());
+    addTimelineRows(t, "BMI 3x10MB", ssd::SsdConfig::table1(),
+                    wl::makeBmi(3, 80000000ULL));
+    addTimelineRows(t, "KCS 16/8/8MB", ssd::SsdConfig::table1(),
+                    wl::makeKcs(16, 8, 8000000ULL));
+    EXPECT_TRUE(test::MatchesGolden(t.toString(),
+                                    "golden/platform_timelines.txt"));
 }
 
 /** A small SSD whose workloads materialize in memory. */
@@ -161,8 +138,7 @@ TEST(FunctionalParityTest, MaterializedTimelineMatchesTimingDriver)
     EXPECT_EQ(fr.timing.senseOps, timing.senseOps);
 
     // Multi-row columns chunk readout differently (per page vs per
-    // chunk), so makespans may differ slightly — but stay within the
-    // stated parity tolerance.
+    // chunk), so makespans may differ slightly — but stay within 2%.
     wl::Workload w2 = andWorkload(5, 2, cfg);
     PlatformRunner::FunctionalRun fr2 = runner.runFcFunctional(w2, 3);
     RunResult t2 = runner.run(PlatformKind::FlashCosmos, w2);
@@ -219,7 +195,7 @@ TEST(FunctionalParityTest, WideMixedBatchSplitsOrCommands)
     // (kMaxStrings - 1 = 3): the planner must put the AND group in its
     // own command and split the OR operands into OR-merge commands of
     // up to kMaxStrings strings — 1 + ceil(5/4) = 3 commands per row,
-    // exactly what the analytic model charges.
+    // exactly what the timing driver charges.
     ssd::SsdConfig cfg = smallSsd();
     EXPECT_EQ(PlatformRunner::fcSensesPerRow(4, 5,
                                              cfg.maxIntraMwsWordlines(),

@@ -1,10 +1,12 @@
 /**
  * @file
- * Energy meter tests.
+ * Energy meter tests, and the per-page I/O times of the SSD
+ * configuration.
  */
 
 #include <gtest/gtest.h>
 
+#include "ssd/config.h"
 #include "ssd/energy.h"
 
 namespace fcos::ssd {
@@ -58,6 +60,14 @@ TEST(EnergyMeterTest, ComponentNamesAreStable)
                  "ssd.external_link");
     EXPECT_STREQ(energyComponentName(EnergyComponent::HostDram),
                  "host.dram");
+}
+
+TEST(SsdConfigTest, PageTimesMatchPaper)
+{
+    SsdConfig cfg = SsdConfig::table1();
+    // 16 KiB at 1.2 GB/s ~ 13.65 us; at 8 GB/s ~ 2.05 us.
+    EXPECT_NEAR(timeToUs(cfg.pageDmaTime()), 13.65, 0.05);
+    EXPECT_NEAR(timeToUs(cfg.pageExternalTime()), 2.05, 0.05);
 }
 
 } // namespace
